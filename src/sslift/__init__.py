@@ -39,17 +39,19 @@ from .formats import (
     parse_document,
     save_path,
 )
+# The function homology is not re-exported here: that name stays with
+# the submodule, so sslift.homology is the module.
 from .homology import (
     ChainComplex,
     HomologyGroup,
     HomologyProfile,
     InducedHomology,
     IntMatrix,
+    SmithForm,
     TruncationError,
     chain_complex,
     chain_map,
     euler_characteristic,
-    homology,
     induced_homology,
     is_group_iso,
     kernel_basis,

@@ -587,6 +587,8 @@ class Nerve:
     """
 
     def __init__(self, category: FiniteCategory, cap: int | None = None):
+        if cap is not None and cap < 0:
+            raise SimplicialError(f"nerve cap must be >= 0, got {cap}")
         self.category = category
         cyclic, bound = category.chain_bound()
         if cyclic:

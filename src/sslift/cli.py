@@ -60,7 +60,12 @@ def _find_ref(x: SimplicialSet, text: str, degree: int | None = None) -> Simplex
     except json.JSONDecodeError:
         entry = None
     if isinstance(entry, list) and len(entry) == 2 and all(isinstance(s, str) for s in entry):
-        word = tuple(int(t) for t in entry[0].split(",")) if entry[0] else ()
+        try:
+            word = tuple(int(t) for t in entry[0].split(",")) if entry[0] else ()
+        except ValueError:
+            raise InputProblem(
+                f"{text!r}: the degeneracy word must be comma-separated integers"
+            ) from None
         cell = entry[1]
     hits = [n for n in range(x.dimension + 1) if cell in x._faces[n]]
     if not hits:

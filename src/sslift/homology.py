@@ -204,34 +204,52 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     return d, u, v
 
 
+class SmithForm:
+    """One tracked factorization u @ a @ v == d of an integer matrix a.
+
+    Factor a matrix once and answer every solve and kernel question about
+    it from the factors.  Only u, v and the diagonal of d are kept, which
+    is all that solving and the kernel need.
+    """
+
+    __slots__ = ("cols", "u", "v", "diagonal")
+
+    def __init__(self, a: IntMatrix):
+        d, u, v, _, _ = _smith_tracked(a)
+        self.cols = a.cols
+        self.u = u
+        self.v = v
+        self.diagonal = [d.data[t][t] for t in range(min(a.rows, a.cols))]
+
+    def solve(self, b: list[int]) -> list[int] | None:
+        """One integer solution x of a @ x = b, or None."""
+        ub = self.u.mul_vec(b)
+        y = [0] * self.cols
+        for t, dt in enumerate(self.diagonal):
+            if dt:
+                if ub[t] % dt:
+                    return None
+                y[t] = ub[t] // dt
+            elif ub[t]:
+                return None
+        if any(ub[len(self.diagonal):]):
+            return None
+        return self.v.mul_vec(y)
+
+    def kernel(self) -> IntMatrix:
+        """Columns spanning the integer kernel of a."""
+        free = [j for j in range(self.cols) if j >= len(self.diagonal) or not self.diagonal[j]]
+        return IntMatrix.from_columns(self.cols, [self.v.column(j) for j in free])
+
+
 def solve_integer(a: IntMatrix, b: list[int]) -> list[int] | None:
     """One integer solution x of a @ x = b, or None."""
-    d, u, v, _, _ = _smith_tracked(a)
-    ub = u.mul_vec(b)
-    y = [0] * a.cols
-    rank = 0
-    for t in range(min(a.rows, a.cols)):
-        if d.data[t][t]:
-            rank = t + 1
-    for t in range(min(a.rows, a.cols)):
-        dt = d.data[t][t]
-        if dt:
-            if ub[t] % dt:
-                return None
-            y[t] = ub[t] // dt
-        elif ub[t]:
-            return None
-    for t in range(min(a.rows, a.cols), a.rows):
-        if ub[t]:
-            return None
-    return v.mul_vec(y)
+    return SmithForm(a).solve(b)
 
 
 def kernel_basis(a: IntMatrix) -> IntMatrix:
     """Columns spanning the integer kernel of a."""
-    d, _, v, _, _ = _smith_tracked(a)
-    free = [j for j in range(a.cols) if j >= min(a.rows, a.cols) or d.data[j][j] == 0]
-    return IntMatrix.from_columns(a.cols, [v.column(j) for j in free])
+    return SmithForm(a).kernel()
 
 
 # -- chain complexes ---------------------------------------------------------
@@ -298,13 +316,13 @@ class HomologyGroup:
     torsion: list[int]
     gens: IntMatrix
     orders: list[int]
-    _kernel: IntMatrix = field(repr=False, default=None)
+    _cycles: SmithForm = field(repr=False, default=None)  # factored cycle basis
     _transform: IntMatrix = field(repr=False, default=None)  # U' with relations diagonal
     _orders_full: list[int] = field(repr=False, default=None)
 
     def coordinates(self, cycle: list[int]) -> list[int] | None:
         """Coordinates of a cycle in the kept generator basis, reduced."""
-        t0 = solve_integer(self._kernel, cycle)
+        t0 = self._cycles.solve(cycle)
         if t0 is None:
             return None
         t = self._transform.mul_vec(t0)
@@ -363,7 +381,7 @@ def _trivial_group(degree: int, rank_cells: int) -> HomologyGroup:
         [],
         IntMatrix(rank_cells, 0),
         [],
-        _kernel=IntMatrix(rank_cells, 0),
+        _cycles=SmithForm(IntMatrix(rank_cells, 0)),
         _transform=IntMatrix.identity(0),
         _orders_full=[],
     )
@@ -375,10 +393,11 @@ def homology_of_complex(cx: ChainComplex, top: int | None = None) -> HomologyPro
     for k in range(limit + 1):
         n_k = cx.rank(k)
         kern = kernel_basis(cx.boundary(k))
+        cycles = SmithForm(kern)
         img = cx.boundary(k + 1)
         rels = []
         for col in img.columns():
-            t = solve_integer(kern, col)
+            t = cycles.solve(col)
             if t is None:
                 raise SimplicialError("boundary image escapes the cycle lattice")
             rels.append(t)
@@ -405,7 +424,7 @@ def homology_of_complex(cx: ChainComplex, top: int | None = None) -> HomologyPro
                 torsion,
                 IntMatrix.from_columns(n_k, kept_cols),
                 kept_orders,
-                _kernel=kern,
+                _cycles=cycles,
                 _transform=up,
                 _orders_full=orders_full,
             )

@@ -46,7 +46,7 @@ from .homology import (
 from .lifting import FibrationClassReport, certify_fibration_class
 from .products import restrict_over_simplex
 from .sset import SMap, SimplexRef
-from .transport import TransportResult, transport_homology
+from .transport import TransportResult, transport_homology, vertex_fiber
 
 
 def _contractible(profile: HomologyProfile) -> bool:
@@ -142,14 +142,12 @@ def theorem_b_report(f: Functor, cap: int | None = None) -> TheoremBReport:
             transports.append((g, t))
             if failing is None and not t.is_iso:
                 failing = g
-    else:
-        failing = None
     hypothesis = fibration.inner.certified and failing is None
 
-    vertex_fibers: dict[str, HomologyProfile] = {}
-    for d in sorted(f.target.objects):
-        fib = restrict_over_simplex(q, SimplexRef(0, (), d))
-        vertex_fibers[d] = homology(fib.sset)
+    vertex_fibers = {
+        d: vertex_fiber(q, SimplexRef(0, (), d), profiles)[1]
+        for d in sorted(f.target.objects)
+    }
 
     slice_agreement: dict[str, bool] = {}
     coslice_contractible: dict[str, bool] = {}
@@ -197,8 +195,8 @@ def theorem_b_report(f: Functor, cap: int | None = None) -> TheoremBReport:
             try:
                 chi_base = euler_characteristic(n_d.sset)
                 chi_total = euler_characteristic(n_comma.sset)
-                fib = restrict_over_simplex(
-                    q, SimplexRef(0, (), sorted(f.target.objects)[0])
+                fib, _ = vertex_fiber(
+                    q, SimplexRef(0, (), sorted(f.target.objects)[0]), profiles
                 )
                 chi_fiber = euler_characteristic(fib.sset)
                 chi = {

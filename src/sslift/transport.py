@@ -21,10 +21,10 @@ from .homology import (
     HomologyProfile,
     InducedHomology,
     IntMatrix,
+    SmithForm,
     homology,
     induced_homology,
     is_group_iso,
-    solve_integer,
 )
 from .lifting import certify_fibration_class
 from .products import Fiber, pullback_induced, restrict_over_simplex, vertex_inclusion_map
@@ -93,10 +93,10 @@ def _divide_leg(
                 col = [0] * len(mid.orders)
                 col[i] = order
                 torsion_cols.append(col)
-        a = IntMatrix.from_columns(len(mid.orders), a_cols + torsion_cols)
+        leg_form = SmithForm(IntMatrix.from_columns(len(mid.orders), a_cols + torsion_cols))
         cols = []
         for g in push.matrix(k).columns():
-            t = solve_integer(a, g)
+            t = leg_form.solve(g)
             if t is None:
                 raise SimplicialError(
                     f"transport solve failed in degree {k}: leg not surjective"
@@ -109,6 +109,20 @@ def _divide_leg(
         matrices.append(matrix)
         flags.append(is_group_iso(src, dst, matrix))
     return matrices, flags
+
+
+def vertex_fiber(
+    p: SMap, v: SimplexRef, profiles: dict | None = None
+) -> tuple[Fiber, HomologyProfile]:
+    """The fiber of p over the vertex v with its homology, looked up in or
+    added to the profiles cache when one is given."""
+    if profiles is not None and v in profiles:
+        return profiles[v]
+    fib = restrict_over_simplex(p, v)
+    pair = (fib, homology(fib.sset))
+    if profiles is not None:
+        profiles[v] = pair
+    return pair
 
 
 def transport_homology(
@@ -144,17 +158,8 @@ def transport_homology(
     v_src = y.face(edge, 1)
     v_tgt = y.face(edge, 0)
 
-    def vertex_fiber(v: SimplexRef) -> tuple[Fiber, HomologyProfile]:
-        if profiles is not None and v in profiles:
-            return profiles[v]
-        fib = restrict_over_simplex(p, v)
-        pair = (fib, homology(fib.sset))
-        if profiles is not None:
-            profiles[v] = pair
-        return pair
-
-    fib_src, prof_src = vertex_fiber(v_src)
-    fib_tgt, prof_tgt = vertex_fiber(v_tgt)
+    fib_src, prof_src = vertex_fiber(p, v_src, profiles)
+    fib_tgt, prof_tgt = vertex_fiber(p, v_tgt, profiles)
     prof_edge = homology(fiber_edge.sset)
     idx = identity_map(x)
     leg_src = induced_homology(

@@ -25,7 +25,7 @@ from sslift.cat import (
     string_normal_form,
 )
 from sslift.homology import homology
-from sslift.sset import SimplexRef
+from sslift.sset import SimplexRef, SimplicialError
 from sslift.cat import compose_key
 
 
@@ -86,6 +86,9 @@ def test_nerve_truncation_policy():
     assert "nerve" in nv.sset.tags
     assert "nerve-acyclic" not in nv.sset.tags
     assert "nerve-acyclic" in nerve(chain_poset(2)).sset.tags
+    # a negative cap would record a truncation degree no loader accepts
+    with pytest.raises(SimplicialError):
+        nerve(cyclic_group_category(2), -3)
 
 
 def test_string_normal_form_and_chain_expansion(c4):

@@ -146,6 +146,20 @@ def test_input_problems_exit_3(capsys, tmp_path):
     assert run(capsys, "homology", bad)[0] == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fibers", fx("double_cover.ssx"), "--simplex", '["a,b","x"]'),
+        ("--json", "nerve", fx("pseudo_circle.cat"), "--cap", "-3"),
+    ],
+)
+def test_bad_word_or_cap_is_a_one_line_input_error(capsys, argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_misplaced_global_flag_is_a_usage_error():
     with pytest.raises(SystemExit):
         main(["nerve", "whatever.cat", "--json"])

@@ -7,13 +7,19 @@ numbers from ranks over QQ, torsion from sympy's Smith normal form
 over ZZ.  The two must agree on every instance.
 """
 
+import random
+import sys
+import types
+
 import sympy
 from sympy.matrices.normalforms import smith_normal_form as sympy_snf
 
 from sslift.cat import cyclic_group_category, nerve
 from sslift.homology import (
     IntMatrix,
+    SmithForm,
     TruncationError,
+    _smith_tracked,
     chain_complex,
     euler_characteristic,
     homology,
@@ -209,3 +215,104 @@ def test_pi0():
     assert pi0(standard_simplex(2))[0] == 1
     n, labels = pi0(loop_space())
     assert n == 1 and set(labels) == {"p"}
+
+
+def reference_solve(a, b):
+    """Solve a @ x = b from a fresh tracked Smith form, as every solve once did."""
+    d, u, v, _, _ = _smith_tracked(a)
+    ub = u.mul_vec(b)
+    n = min(a.rows, a.cols)
+    y = [0] * a.cols
+    for t in range(n):
+        dt = d.data[t][t]
+        if dt:
+            if ub[t] % dt:
+                return None
+            y[t] = ub[t] // dt
+        elif ub[t]:
+            return None
+    if any(ub[n:]):
+        return None
+    return v.mul_vec(y)
+
+
+def reference_kernel(a):
+    """Kernel columns read off a fresh tracked Smith form."""
+    d, _, v, _, _ = _smith_tracked(a)
+    n = min(a.rows, a.cols)
+    return [v.column(j) for j in range(a.cols) if j >= n or d.data[j][j] == 0]
+
+
+def random_matrices(rng):
+    """Empty, zero, rank-deficient and random integer matrices."""
+    for rows, cols in ((0, 0), (0, 3), (3, 0), (1, 1), (2, 5), (5, 2)):
+        yield IntMatrix(rows, cols)
+    for _ in range(40):
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        rank = rng.randint(1, min(rows, cols))
+        yield random_matrix(rng, rows, rank, 3) @ random_matrix(rng, rank, cols, 3)
+        yield random_matrix(rng, rows, cols, 6)
+
+
+def random_matrix(rng, rows, cols, bound):
+    entries = [[rng.randint(-bound, bound) for _ in range(cols)] for _ in range(rows)]
+    return IntMatrix(rows, cols, entries)
+
+
+def test_smith_form_matches_per_call_reference():
+    rng = random.Random(17)
+    outcomes = {"solved": 0, "unsolvable": 0}
+    for a in random_matrices(rng):
+        form = SmithForm(a)
+        rights = [[0] * a.rows, [rng.randint(-5, 5) for _ in range(a.rows)]]
+        rights.append(a.mul_vec([rng.randint(-3, 3) for _ in range(a.cols)]))
+        rights += [[2 * x + 1 for x in b] for b in rights]
+        for b in rights:
+            x = form.solve(b)
+            assert x == reference_solve(a, b)
+            if x is None:
+                outcomes["unsolvable"] += 1
+            else:
+                assert a.mul_vec(x) == b
+                outcomes["solved"] += 1
+        kern, want = form.kernel(), reference_kernel(a)
+        assert kern.shape == (a.cols, len(want)) and kern.columns() == want
+        n = min(a.rows, a.cols)
+        assert len(form.diagonal) == n
+        if n:
+            sd = sympy_snf(to_sympy(a), domain=sympy.ZZ)
+            theirs = [abs(int(sd[i, i])) for i in range(min(sd.shape))]
+            theirs += [0] * (n - len(theirs))
+            assert [abs(t) for t in form.diagonal] == theirs
+    assert outcomes["solved"] and outcomes["unsolvable"]
+
+
+def test_homology_factors_each_matrix_once(monkeypatch):
+    import sslift.homology as hmod
+
+    shapes = []
+    real = hmod._smith_tracked
+
+    def counted(m):
+        shapes.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(hmod, "_smith_tracked", counted)
+    prof = hmod.homology(nerve(cyclic_group_category(4), 4).sset)
+    # the boundary, its kernel and the relations, in each computed degree
+    assert len(prof.groups) == 4
+    assert len(shapes) == 3 * len(prof.groups)
+    for g in prof.groups:
+        for i, col in enumerate(g.gens.columns()):
+            unit = [1 if j == i else 0 for j in range(len(g.orders))]
+            assert g.coordinates(col) == unit
+    assert len(shapes) == 3 * len(prof.groups)
+
+
+def test_homology_module_is_not_shadowed():
+    import sslift
+    import sslift.homology as hmod
+
+    assert isinstance(hmod, types.ModuleType)
+    assert sslift.homology is sys.modules["sslift.homology"] is hmod
+    assert sslift.SmithForm is hmod.SmithForm

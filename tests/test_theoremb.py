@@ -28,6 +28,13 @@ def test_identity_functor_verified(c4):
     assert r.chi == {"total": 0, "fiber": 1, "base": 0, "multiplicative": True}
 
 
+def test_vertex_fibers_reuse_transported_profiles(c4):
+    r = theorem_b_report(identity_functor(c4))
+    reported = {id(p) for p in r.vertex_fibers.values()}
+    for _, t in r.transports:
+        assert id(t.source_profile) in reported and id(t.target_profile) in reported
+
+
 def test_identity_chi_agrees_with_cell_counts(c4):
     f = identity_functor(c4)
     r = theorem_b_report(f)

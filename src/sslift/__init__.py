@@ -73,6 +73,7 @@ from .lifting import (
     is_cartesian_edge,
     is_cocartesian_edge,
     iter_horn_problems,
+    iter_horn_solutions,
     last_vertex_contraction,
     lift_homotopy,
     solve_horn_lift,

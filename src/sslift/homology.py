@@ -97,9 +97,9 @@ class IntMatrix:
 
 
 def _smith_tracked(m: IntMatrix):
-    """Smith normal form with all four transforms.
+    """Smith normal form with its transforms u and v, and u's inverse.
 
-    Returns (d, u, v, u_inv, v_inv) with u @ m @ v == d, u and v unimodular,
+    Returns (d, u, v, u_inv) with u @ m @ v == d, u and v unimodular,
     and d diagonal with a divisibility chain.
     """
     a = m.copy()
@@ -107,7 +107,6 @@ def _smith_tracked(m: IntMatrix):
     u = IntMatrix.identity(rows)
     uinv = IntMatrix.identity(rows)
     v = IntMatrix.identity(cols)
-    vinv = IntMatrix.identity(cols)
 
     def row_swap(i, j):
         a.data[i], a.data[j] = a.data[j], a.data[i]
@@ -120,7 +119,6 @@ def _smith_tracked(m: IntMatrix):
             r[i], r[j] = r[j], r[i]
         for r in v.data:
             r[i], r[j] = r[j], r[i]
-        vinv.data[i], vinv.data[j] = vinv.data[j], vinv.data[i]
 
     def row_add(i, j, c):
         # row_i += c * row_j
@@ -135,7 +133,6 @@ def _smith_tracked(m: IntMatrix):
             r[i] += c * r[j]
         for r in v.data:
             r[i] += c * r[j]
-        vinv.data[j] = [x - c * y for x, y in zip(vinv.data[j], vinv.data[i])]
 
     def row_negate(i):
         a.data[i] = [-x for x in a.data[i]]
@@ -191,7 +188,7 @@ def _smith_tracked(m: IntMatrix):
         if stuck:
             continue
         t += 1
-    return a, u, v, uinv, vinv
+    return a, u, v, uinv
 
 
 def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -200,7 +197,7 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         rows = len(matrix)
         cols = len(matrix[0]) if rows else 0
         matrix = IntMatrix(rows, cols, matrix)
-    d, u, v, _, _ = _smith_tracked(matrix)
+    d, u, v, _ = _smith_tracked(matrix)
     return d, u, v
 
 
@@ -215,7 +212,7 @@ class SmithForm:
     __slots__ = ("cols", "u", "v", "diagonal")
 
     def __init__(self, a: IntMatrix):
-        d, u, v, _, _ = _smith_tracked(a)
+        d, u, v, _ = _smith_tracked(a)
         self.cols = a.cols
         self.u = u
         self.v = v
@@ -402,7 +399,7 @@ def homology_of_complex(cx: ChainComplex, top: int | None = None) -> HomologyPro
                 raise SimplicialError("boundary image escapes the cycle lattice")
             rels.append(t)
         rel_matrix = IntMatrix.from_columns(kern.cols, rels)
-        d, up, _, upinv, _ = _smith_tracked(rel_matrix)
+        d, up, _, upinv = _smith_tracked(rel_matrix)
         orders_full = []
         for i in range(kern.cols):
             val = d.data[i][i] if i < min(d.rows, d.cols) else 0

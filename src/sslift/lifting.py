@@ -28,9 +28,9 @@ from .sset import (
     SimplexRef,
     SimplicialError,
     SimplicialSet,
+    image_of_ref,
     op_ref,
     opposite_map,
-    ref_sort_key,
     simplex_in_standard,
     standard_simplex,
 )
@@ -138,29 +138,25 @@ def _matching(
 # -- single problems ----------------------------------------------------------
 
 
+def iter_horn_solutions(p: SMap, problem: HornProblem):
+    """The degree-n solutions of a horn problem, lazily, in candidate order."""
+    for tau in _matching(p.source, problem.n, list(problem.faces)):
+        if p.apply(tau) == problem.base:
+            yield tau
+
+
 def horn_solutions(p: SMap, problem: HornProblem) -> list[SimplexRef]:
     """All degree-n solutions, in candidate order."""
-    x = p.source
-    constraints = [(j, r) for j, r in problem.faces]
-    out = []
-    for tau in _matching(x, problem.n, constraints):
-        if p.apply(tau) == problem.base:
-            out.append(tau)
-    return out
+    return list(iter_horn_solutions(p, problem))
 
 
 def solve_horn_lift(p: SMap, problem: HornProblem) -> SimplexRef | None:
     """The first solution in candidate order, or None."""
-    x = p.source
-    constraints = [(j, r) for j, r in problem.faces]
-    for tau in _matching(x, problem.n, constraints):
-        if p.apply(tau) == problem.base:
-            return tau
-    return None
+    return next(iter_horn_solutions(p, problem), None)
 
 
 def count_horn_lifts(p: SMap, problem: HornProblem) -> int:
-    return len(horn_solutions(p, problem))
+    return sum(1 for _ in iter_horn_solutions(p, problem))
 
 
 # -- problem enumeration ------------------------------------------------------
@@ -278,6 +274,14 @@ def _nerve_conclusive(p: SMap, effective: int) -> bool:
     )
 
 
+def _check_cap(cap: int) -> None:
+    """Reject a requested horn cap below 2: it would check no problem and
+    certify anything.  A cap that truncation clips below 2 is not an input
+    error; it makes the certificate inconclusive."""
+    if cap < 2:
+        raise SimplicialError(f"horn degree cap must be at least 2, got {cap}")
+
+
 def certify_inner_fibration(p: SMap, cap: int | None = None) -> Certificate:
     """Solve every inner horn problem with 2 <= n <= cap against p.
 
@@ -286,6 +290,7 @@ def certify_inner_fibration(p: SMap, cap: int | None = None) -> Certificate:
     the degree <= 3 range already determines.
     """
     requested = cap if cap is not None else _default_cap(p)
+    _check_cap(requested)
     effective, notes = _effective_cap(p, requested)
     conclusive = _nerve_conclusive(p, effective)
     checked = 0
@@ -323,6 +328,7 @@ def is_cartesian_edge(
     x.resolve(edge)
     if edge.degree != 1:
         raise SimplicialError("cartesian test wants an edge reference")
+    _check_cap(cap)
     checked = 0
     for n in range(2, cap + 1):
         last = {r for r in x.refs(n - 1) if x.last_edge(r) == edge}
@@ -373,6 +379,10 @@ def _certify_edge_lifts(
             for f in x.refs(1):
                 if p.apply(f) != g or x.face(f, 0) != c:
                     continue
+                if effective < 2:
+                    # truncation leaves no horn to test the lift against
+                    found = True
+                    break
                 ok, _, n_checked = is_cartesian_edge(p, f, effective)
                 checked += n_checked
                 if ok:
@@ -479,15 +489,6 @@ def cylinder_region(prism: Product, j_sub: SimplicialSet | None = None) -> Simpl
         if at_zero or over_j:
             seeds.append((n, cell_id))
     return subcomplex(prism.sset, seeds)
-
-
-def _word_apply(value: SimplexRef, r: SimplexRef) -> SimplexRef:
-    """Value of a possibly degenerate ref, given the value on its cell."""
-    if not r.word:
-        return value
-    outer = W.word_to_map(value.word, value.degree)
-    inner = W.word_to_map(r.word, r.degree)
-    return SimplexRef(r.degree, W.map_to_word(W.compose(outer, inner)), value.cell)
 
 
 def start_map(
@@ -602,7 +603,7 @@ def lift_homotopy(
             values[(n, c)] = start.value(n, c)
 
     def prism_value(r: SimplexRef) -> SimplexRef:
-        return _word_apply(values[(r.cell_degree, r.cell)], r)
+        return image_of_ref(values[(r.cell_degree, r.cell)], r)
 
     # start edges over j_sub vertices must already be cocartesian
     if j_sub is not None:

@@ -410,6 +410,16 @@ def op_ref(r: SimplexRef) -> SimplexRef:
 # -- simplicial maps --------------------------------------------------------
 
 
+def image_of_ref(value: SimplexRef, r: SimplexRef) -> SimplexRef:
+    """Image of a possibly degenerate ref r under a map that sends the
+    nondegenerate cell of r to value."""
+    if not r.word:
+        return value
+    outer = W.word_to_map(value.word, value.degree)
+    inner = W.word_to_map(r.word, r.degree)
+    return SimplexRef(r.degree, W.map_to_word(W.compose(outer, inner)), value.cell)
+
+
 class SMap:
     """A map of simplicial sets, stored on nondegenerate cells of the source."""
 
@@ -440,12 +450,7 @@ class SMap:
     def apply(self, r: SimplexRef) -> SimplexRef:
         """Image of an arbitrary simplex reference of the source."""
         self.source.resolve(r)
-        image = self.value(r.cell_degree, r.cell)
-        if not r.word:
-            return image
-        outer = W.word_to_map(image.word, image.degree)
-        inner = W.word_to_map(r.word, r.degree)
-        return SimplexRef(r.degree, W.map_to_word(W.compose(outer, inner)), image.cell)
+        return image_of_ref(self.value(r.cell_degree, r.cell), r)
 
     def compose(self, other: "SMap") -> "SMap":
         """self o other; other's target must be self's source."""

@@ -35,18 +35,11 @@ from .cat import (
     nerve_functor,
     slice_category,
 )
-from .homology import (
-    HomologyProfile,
-    TruncationError,
-    euler_characteristic,
-    homology,
-    induced_homology,
-    pi0,
-)
+from .homology import HomologyProfile, homology, induced_homology
 from .lifting import FibrationClassReport, certify_fibration_class
 from .products import restrict_over_simplex
 from .sset import SMap, SimplexRef
-from .transport import TransportResult, transport_homology, vertex_fiber
+from .transport import TransportResult, fiber_summary, transport_homology, vertex_fiber
 
 
 def _contractible(profile: HomologyProfile) -> bool:
@@ -128,7 +121,7 @@ def _comma_unit(f: Functor, comma, to_c) -> NatTrans:
 
 def theorem_b_report(f: Functor, cap: int | None = None) -> TheoremBReport:
     comma, to_c, to_d = comma_category(f)
-    q, n_comma, n_d = nerve_functor(to_d, cap)
+    q, _, n_d = nerve_functor(to_d, cap)
     fibration = certify_fibration_class(q)
 
     transports: list[tuple[SimplexRef, TransportResult]] = []
@@ -164,15 +157,7 @@ def theorem_b_report(f: Functor, cap: int | None = None) -> TheoremBReport:
         for c in sorted(f.source.objects):
             fib = restrict_over_simplex(pmap, SimplexRef(0, (), c))
             coslice_contractible[c] = _contractible(homology(fib.sset))
-        n_components, labels = pi0(n_d.sset)
-        by_label: dict[str, list[str]] = {}
-        for d, lab in labels.items():
-            by_label.setdefault(lab, []).append(d)
-        for lab, ds in sorted(by_label.items()):
-            first = vertex_fibers[ds[0]]
-            component_constancy[lab] = all(
-                vertex_fibers[d].same_invariants(first) for d in ds
-            )
+        component_constancy, chi = fiber_summary(q, profiles)
         projection_iso = induced_homology(pmap).is_iso
         unit = _comma_unit(f, comma, to_c)
         h, prod, src_nerve, tgt_nerve = nat_trans_homotopy(unit, cap)
@@ -191,22 +176,6 @@ def theorem_b_report(f: Functor, cap: int | None = None) -> TheoremBReport:
             if h.value(n, cell_id) != expect:
                 ends_match = False
                 break
-        if n_components == 1:
-            try:
-                chi_base = euler_characteristic(n_d.sset)
-                chi_total = euler_characteristic(n_comma.sset)
-                fib, _ = vertex_fiber(
-                    q, SimplexRef(0, (), sorted(f.target.objects)[0]), profiles
-                )
-                chi_fiber = euler_characteristic(fib.sset)
-                chi = {
-                    "total": chi_total,
-                    "fiber": chi_fiber,
-                    "base": chi_base,
-                    "multiplicative": chi_total == chi_fiber * chi_base,
-                }
-            except TruncationError:
-                chi = None
 
     if not fibration.inner.certified:
         status = fibration.inner.status

@@ -11,6 +11,12 @@ source-vertex leg instead.
 Transports compose: the matrices along a path of edges multiply, so
 monodromy around loops is an honest integer matrix in the chosen
 generator bases.
+
+The comparisons behind transport are shared with the whole-map reports:
+vertex_legs builds the fiber over a simplex with its first- and
+last-vertex legs, and fiber_summary checks that vertex fiber homology
+is constant on components of the base and that Euler characteristics
+multiply.  Both take vertex fibers from the vertex_fiber cache.
 """
 
 from __future__ import annotations
@@ -22,9 +28,12 @@ from .homology import (
     InducedHomology,
     IntMatrix,
     SmithForm,
+    TruncationError,
+    euler_characteristic,
     homology,
     induced_homology,
     is_group_iso,
+    pi0,
 )
 from .lifting import certify_fibration_class
 from .products import Fiber, pullback_induced, restrict_over_simplex, vertex_inclusion_map
@@ -125,6 +134,59 @@ def vertex_fiber(
     return pair
 
 
+def vertex_legs(
+    p: SMap, sigma: SimplexRef, profiles: dict | None = None
+) -> tuple[HomologyProfile, InducedHomology, InducedHomology]:
+    """Homology of the fiber over sigma, and the maps induced on homology
+    by the inclusions of the fibers over its first and last vertices."""
+    n = sigma.degree
+    fib = restrict_over_simplex(p, sigma)
+    prof = homology(fib.sset)
+    idx = identity_map(p.source)
+    legs = []
+    for pos in (0, n):
+        vfib, vprof = vertex_fiber(p, p.target.act(sigma, (pos,)), profiles)
+        leg = pullback_induced(vfib, fib, vertex_inclusion_map(n, pos), idx)
+        legs.append(induced_homology(leg, vprof, prof))
+    return prof, legs[0], legs[1]
+
+
+def fiber_summary(
+    p: SMap, profiles: dict
+) -> tuple[dict[str, bool], dict | None]:
+    """Constancy of vertex fiber homology on each path component of the
+    base, and over a connected base the Euler characteristics of total
+    space, fiber and base (None when truncation hides one of them)."""
+    y = p.target
+
+    def fiber_at(v: str) -> tuple[Fiber, HomologyProfile]:
+        return vertex_fiber(p, SimplexRef(0, (), v), profiles)
+
+    n_components, labels = pi0(y)
+    by_label: dict[str, list[str]] = {}
+    for v, lab in labels.items():
+        by_label.setdefault(lab, []).append(v)
+    constancy: dict[str, bool] = {}
+    for lab, vs in sorted(by_label.items()):
+        first = fiber_at(vs[0])[1]
+        constancy[lab] = all(fiber_at(v)[1].same_invariants(first) for v in vs)
+    chi = None
+    if n_components == 1:
+        try:
+            chi_total = euler_characteristic(p.source)
+            chi_base = euler_characteristic(y)
+            chi_fiber = euler_characteristic(fiber_at(sorted(y.n_cells(0))[0])[0].sset)
+            chi = {
+                "total": chi_total,
+                "fiber": chi_fiber,
+                "base": chi_base,
+                "multiplicative": chi_total == chi_fiber * chi_base,
+            }
+        except TruncationError:
+            pass
+    return constancy, chi
+
+
 def transport_homology(
     p: SMap,
     edge: SimplexRef,
@@ -143,8 +205,7 @@ def transport_homology(
     transport itself only needs the inverted leg to be a homology
     isomorphism.
     """
-    x, y = p.source, p.target
-    y.resolve(edge)
+    p.target.resolve(edge)
     if edge.degree != 1:
         raise SimplicialError("transport wants an edge of the base")
     status = None
@@ -154,30 +215,8 @@ def transport_homology(
         report = certify_fibration_class(p, cap)
         status = (report.cartesian if backward else report.cocartesian).status
 
-    fiber_edge = restrict_over_simplex(p, edge)
-    v_src = y.face(edge, 1)
-    v_tgt = y.face(edge, 0)
-
-    fib_src, prof_src = vertex_fiber(p, v_src, profiles)
-    fib_tgt, prof_tgt = vertex_fiber(p, v_tgt, profiles)
-    prof_edge = homology(fiber_edge.sset)
-    idx = identity_map(x)
-    leg_src = induced_homology(
-        pullback_induced(fib_src, fiber_edge, vertex_inclusion_map(1, 0), idx),
-        prof_src,
-        prof_edge,
-    )
-    leg_tgt = induced_homology(
-        pullback_induced(fib_tgt, fiber_edge, vertex_inclusion_map(1, 1), idx),
-        prof_tgt,
-        prof_edge,
-    )
-    if backward:
-        invert, push = leg_src, leg_tgt
-        src_prof, dst_prof = prof_tgt, prof_src
-    else:
-        invert, push = leg_tgt, leg_src
-        src_prof, dst_prof = prof_src, prof_tgt
+    prof_edge, leg_src, leg_tgt = vertex_legs(p, edge, profiles)
+    invert, push = (leg_src, leg_tgt) if backward else (leg_tgt, leg_src)
     invertible = invert.is_iso
     matrices: list[IntMatrix] | None = None
     flags: list[bool] = []
@@ -186,9 +225,9 @@ def transport_homology(
     return TransportResult(
         edge,
         backward,
-        src_prof,
+        push.source,
         prof_edge,
-        dst_prof,
+        invert.source,
         leg_src,
         leg_tgt,
         invertible,

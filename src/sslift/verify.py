@@ -19,16 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .homology import (
-    TruncationError,
-    euler_characteristic,
-    homology,
-    induced_homology,
-    pi0,
-)
+from .homology import homology
 from .lifting import FibrationClassReport, certify_fibration_class
-from .products import Pullback, pullback_induced, restrict_over_simplex, vertex_inclusion_map
-from .sset import SMap, SimplexRef, SimplicialError, identity_map
+from .products import Pullback
+from .sset import SMap, SimplexRef, SimplicialError
+from .transport import fiber_summary, vertex_fiber, vertex_legs
 
 
 @dataclass
@@ -71,30 +66,17 @@ class RealizationReport:
 
 def realization_fibration_certificate(p: SMap, cap: int | None = None) -> RealizationReport:
     """Compare vertex fibers with whole-simplex fibers over every base cell."""
-    x, y = p.source, p.target
-    idx = identity_map(x)
+    y = p.target
     comparisons = []
     witness = None
+    profiles: dict = {}
     for n in range(1, y.dimension + 1):
         for cell in y.n_cells(n):
             sigma = SimplexRef(n, (), cell)
-            fib = restrict_over_simplex(p, sigma)
-            prof = homology(fib.sset)
-            sides = {}
-            for side, vertex_pos in (("first", 0), ("last", n)):
-                vfib = restrict_over_simplex(p, y.act(sigma, (vertex_pos,)))
-                leg = pullback_induced(
-                    vfib, fib, vertex_inclusion_map(n, vertex_pos), idx
-                )
-                sides[side] = induced_homology(
-                    leg, homology(vfib.sset), prof
-                ).is_iso
-            comparisons.append(SimplexComparison(sigma, sides["first"], sides["last"]))
-            if witness is None:
-                if not sides["first"]:
-                    witness = (sigma, "first")
-                elif not sides["last"]:
-                    witness = (sigma, "last")
+            _, first, last = vertex_legs(p, sigma, profiles)
+            comparisons.append(SimplexComparison(sigma, first.is_iso, last.is_iso))
+            if witness is None and not (first.is_iso and last.is_iso):
+                witness = (sigma, "last" if first.is_iso else "first")
     status = "certified" if witness is None else "refuted"
     return RealizationReport(cap, comparisons, status, witness)
 
@@ -135,7 +117,6 @@ def ltg_check(f: SMap, p: SMap, cap: int | None = None) -> BaseChangeReport:
     """
     if f.target != p.target:
         raise SimplicialError("base change wants a cospan with a common target")
-    y = p.target
     base_class = certify_fibration_class(p, cap)
     pulled = Pullback(f, p)
     p_prime = pulled.to_left
@@ -146,41 +127,13 @@ def ltg_check(f: SMap, p: SMap, cap: int | None = None) -> BaseChangeReport:
         after = getattr(pulled_class, kind)
         inherited[kind] = (not before.certified) or after.certified
 
+    profiles: dict = {}
     vertex_case = None
     if f.source.counts() == (1,):
         v = f.source.n_cells(0)[0]
-        image = f.value(0, v)
-        fib = restrict_over_simplex(p, image)
-        vertex_case = homology(pulled.sset).same_invariants(homology(fib.sset))
-
-    n_components, labels = pi0(y)
-    fibers = {}
-    for v in y.n_cells(0):
-        fibers[v] = homology(restrict_over_simplex(p, SimplexRef(0, (), v)).sset)
-    component_constancy: dict[str, bool] = {}
-    by_label: dict[str, list[str]] = {}
-    for v, lab in labels.items():
-        by_label.setdefault(lab, []).append(v)
-    for lab, vs in sorted(by_label.items()):
-        first = fibers[vs[0]]
-        component_constancy[lab] = all(fibers[v].same_invariants(first) for v in vs)
-
-    chi = None
-    if n_components == 1 and y.cell_count(0) > 0:
-        try:
-            chi_total = euler_characteristic(p.source)
-            chi_base = euler_characteristic(y)
-            chi_fiber = euler_characteristic(
-                restrict_over_simplex(p, SimplexRef(0, (), sorted(y.n_cells(0))[0])).sset
-            )
-            chi = {
-                "total": chi_total,
-                "fiber": chi_fiber,
-                "base": chi_base,
-                "multiplicative": chi_total == chi_fiber * chi_base,
-            }
-        except TruncationError:
-            chi = None
+        _, prof = vertex_fiber(p, f.value(0, v), profiles)
+        vertex_case = homology(pulled.sset).same_invariants(prof)
+    component_constancy, chi = fiber_summary(p, profiles)
 
     witness = None
     if not all(inherited.values()):

@@ -47,6 +47,23 @@ def test_certify_exit_codes(capsys, tmp_path):
     assert "inconclusive" in out and "truncated" in out
 
 
+def test_cap_clipped_below_two_is_inconclusive(capsys, tmp_path):
+    # the requested cap is valid; truncation clips it to 1, which checks
+    # no horn, so the answer is inconclusive rather than an input error
+    from sslift.cat import nerve
+
+    x = nerve(cyclic_group_category(2), cap=1).sset
+    save_path(
+        tmp_path / "t.ssx",
+        constant_map(x, standard_simplex(0), SimplexRef(0, (), "0")),
+    )
+    code, out = run(capsys, "certify", tmp_path / "t.ssx", "--cap", "9")
+    assert code == 2
+    assert out.count("inconclusive") == 3 and "truncated at degree 1" in out
+    code, out = run(capsys, "theorem-b", fx("cover_functor.cat"), "--cap", "1")
+    assert code == 2 and out.startswith("status: inconclusive")
+
+
 def test_fibers_over_a_simplex(capsys):
     code, out = run(capsys, "--json", "fibers", fx("double_cover.ssx"), "--simplex", "a<x")
     assert code == 0
@@ -151,6 +168,12 @@ def test_input_problems_exit_3(capsys, tmp_path):
     [
         ("fibers", fx("double_cover.ssx"), "--simplex", '["a,b","x"]'),
         ("--json", "nerve", fx("pseudo_circle.cat"), "--cap", "-3"),
+        # a horn cap below 2 checks no problem, so it is rejected
+        ("certify", fx("collapse_tower.ssx"), "--cap", "1"),
+        ("--json", "certify", fx("collapse_tower.ssx"), "--cap", "-5"),
+        ("ltg-check", "--cospan", fx("interval_vertex.ssx"), fx("cylinder_proj.ssx"), "--cap", "1"),
+        ("--json", "ltg-check", "--cospan", fx("interval_vertex.ssx"), fx("cylinder_proj.ssx"),
+         "--cap", "-5"),
     ],
 )
 def test_bad_word_or_cap_is_a_one_line_input_error(capsys, argv):

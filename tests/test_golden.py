@@ -1,0 +1,73 @@
+"""Golden outputs: sha256 digests of the --json reports on the fixtures.
+
+The digests pin the exact bytes (and exit codes) of `fibers`,
+`transport`, `ltg-check` and `theorem-b`, so that a change in how the
+reports are built cannot change a byte of what they print.  Replace a
+digest only for a declared change of output.
+"""
+
+import contextlib
+import hashlib
+import io
+from pathlib import Path
+
+import pytest
+
+from sslift.cli import main
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+GOLDEN = [
+    (("fibers", "boundary_collapse.ssx"), 1,
+     "a5ac0fa127858eb6b01acb06df10eea47cab16b0d2e324bfddac65712010c800"),
+    (("fibers", "collapse_tower.ssx"), 1,
+     "123e2f029da5f9268eee0b89b1688b9f4b0f59b6de58bb812ac7ad570722994a"),
+    (("fibers", "cylinder_proj.ssx"), 0,
+     "cc9764b5c79f16d3373a0e3dcbc6946044f04b2da0ea5d6ab9c3b6a3e3de07ec"),
+    (("fibers", "double_cover.ssx"), 0,
+     "8ea774d03990da352489eb478813916b7245dc019125b3c9194fcba217948c91"),
+    (("fibers", "edge_into_circle.ssx"), 1,
+     "b6ba8458a69f89f2cd2ab74ea1b39caef89a9d9854a99b8d840c7b3dabe5294d"),
+    (("transport", "double_cover.ssx", "--edge", "a<x"), 0,
+     "dcc568aba7d1d9e9cd79c53ea7ff5068f09bd0270b651c6ad61983416b114c57"),
+    (("transport", "double_cover.ssx", "--edge", "a<x", "--backward"), 0,
+     "a40f091099d8b7cef382c89269820b883a4a05ee6a1c64554d52f1ea4df5feed"),
+    (("transport", "double_cover.ssx", "--edge", "a<y"), 0,
+     "1df037ba4f02ee132f452f198d4eb90e04bbd749828309d9c09f8f7041c3cd4a"),
+    (("transport", "double_cover.ssx", "--edge", "a<y", "--backward"), 0,
+     "98ad621153db3c9e4251bfec4c78e17e9d054be89af6053e24bd90f907f7434f"),
+    (("transport", "double_cover.ssx", "--edge", "b<x"), 0,
+     "47c8dca2872c6f326e1a7b5307554464c88ff2c333801fa3a7fbcde42648f5b5"),
+    (("transport", "double_cover.ssx", "--edge", "b<x", "--backward"), 0,
+     "c920ad606eb9717923a24b5544264f0f0e7a1975f387338037ffba092f2c9dff"),
+    (("transport", "double_cover.ssx", "--edge", "b<y"), 0,
+     "34c011538e807833c328e5abb45b6615f4006ebb9f1ffb764552e5f0e4b8bc18"),
+    (("transport", "double_cover.ssx", "--edge", "b<y", "--backward"), 0,
+     "fe2745658643aafc71c42b43e0d5f761c2155f50ff753ef8d810c53048249ca3"),
+    (("transport", "cylinder_proj.ssx", "--edge", "0.1"), 0,
+     "2946c5e006be39f09eb78788bb7996baf66aeb6d6172129d855f76d4aa890fb4"),
+    (("transport", "cylinder_proj.ssx", "--edge", "0.1", "--backward"), 0,
+     "19612cde258b4f2f25624fa42fc605550df344b74852da163e2d8187b45fc291"),
+    (("ltg-check", "--cospan", "interval_vertex.ssx", "cylinder_proj.ssx"), 0,
+     "e2ccb956999559145284657a557c29a4e0c03c3ed35ba077085b3a544d9ecf57"),
+    (("ltg-check", "--cospan", "edge_into_circle.ssx", "double_cover.ssx"), 0,
+     "22216d5c4e8f87702bc6c011a3f11b35a4cf2920276d238eaf38575e350b81e0"),
+    (("ltg-check", "--cospan", "interval_vertex.ssx", "boundary_collapse.ssx"), 1,
+     "db9a1ddc9bdf906335e907243b048608d74771badc85e63087e484b06f0b813c"),
+    (("theorem-b", "cover_functor.cat"), 0,
+     "1109a0dfbe0779b0b7fe308efb7afc01913c7d3085c9e82ec2172ed0442685e6"),
+    (("theorem-b", "collapse_functor.cat"), 1,
+     "1d6844446bb45f71a12d1bd922a51e0ba133e5eb686d2bdc62d1687e3c8c65c5"),
+    (("theorem-b", "point_a.cat"), 1,
+     "0820ca71701f865953fda1ed4aa03ac73d4d6ffb591ad3285a5c90dde8962064"),
+]
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN, ids=[" ".join(g[0]) for g in GOLDEN])
+def test_json_report_matches_golden_digest(argv, code, digest):
+    args = ["--json"] + [str(FIXTURES / a) if a.endswith((".ssx", ".cat")) else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = main(args)
+    assert got == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

@@ -219,7 +219,7 @@ def test_pi0():
 
 def reference_solve(a, b):
     """Solve a @ x = b from a fresh tracked Smith form, as every solve once did."""
-    d, u, v, _, _ = _smith_tracked(a)
+    d, u, v, _ = _smith_tracked(a)
     ub = u.mul_vec(b)
     n = min(a.rows, a.cols)
     y = [0] * a.cols
@@ -238,7 +238,7 @@ def reference_solve(a, b):
 
 def reference_kernel(a):
     """Kernel columns read off a fresh tracked Smith form."""
-    d, _, v, _, _ = _smith_tracked(a)
+    d, _, v, _ = _smith_tracked(a)
     n = min(a.rows, a.cols)
     return [v.column(j) for j in range(a.cols) if j >= n or d.data[j][j] == 0]
 

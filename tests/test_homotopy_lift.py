@@ -16,6 +16,7 @@ from sslift.lifting import (
 from sslift.sset import (
     SMap,
     SimplexRef,
+    SimplicialError,
     SimplicialSet,
     classifying_map,
     constant_map,
@@ -64,6 +65,17 @@ def test_transport_square_over_cover(cover_map):
     for c in ("0", "1"):
         pair = prism.pair_ref(SimplexRef(0, (), c), SimplexRef(0, (), "1"))
         assert lift.apply(pair) == SimplexRef(0, (), "x0")
+
+
+def test_cap_below_two_is_rejected(cover_map):
+    # an edge cap of 1 would check no horn and pass every edge as cocartesian
+    x, y = cover_map.source, cover_map.target
+    prism = cylinder(standard_simplex(1))
+    homotopy = classifying_map(y, SimplexRef(1, (), "a<x")).compose(prism.to_right)
+    f0 = constant_map(prism.left_object, x, SimplexRef(0, (), "a0"))
+    start, _ = start_map(prism, x, f0)
+    with pytest.raises(SimplicialError, match="at least 2"):
+        lift_homotopy(cover_map, prism, homotopy, start, cap=1)
 
 
 def test_designated_edge_steers_the_sheet(cover_map):

@@ -157,6 +157,7 @@ def test_first_solution_is_least(cover_map):
             sols = horn_solutions(p, prob)
             if sols:
                 assert solve_horn_lift(p, prob) == sols[0]
+                assert count_horn_lifts(p, prob) == len(sols)
                 assert sols == sorted(sols, key=ref_sort_key)
                 seen += 1
     assert seen > 0

@@ -62,6 +62,16 @@ def test_point_functor_fails_hypothesis_at_first_empty_edge(c4):
     assert r.chi is None
 
 
+def test_nerve_cap_below_two_is_inconclusive_not_an_error(cover):
+    # the comma nerve is truncated at the nerve cap, which clips the
+    # default horn cap of its projection below 2: nothing can be certified
+    for cap in (0, 1):
+        r = theorem_b_report(cover, cap=cap)
+        assert r.status == "inconclusive"
+        assert r.fibration.inner.status == "inconclusive"
+        assert r.fibration.inner.effective_cap == cap
+
+
 def test_double_cover_verified_with_disconnected_fibers(cover):
     r = theorem_b_report(cover)
     assert r.status == "verified"

@@ -2,6 +2,7 @@
 
 import pytest
 
+from sslift import products
 from sslift.corpus import circle, cylinder_projection, interval_vertex
 from sslift.sset import (
     SimplexRef,
@@ -75,3 +76,33 @@ def test_ltg_refutes_nonconstant_fibers():
 def test_ltg_rejects_mismatched_cospan(cover_map):
     with pytest.raises(SimplicialError):
         ltg_check(identity_map(circle()), cover_map)
+
+
+def count_fibers(monkeypatch):
+    """Record the base simplex of every Fiber built from now on."""
+    built = []
+    real = products.Fiber.__init__
+
+    def counted(self, p, simplex):
+        built.append(simplex)
+        real(self, p, simplex)
+
+    monkeypatch.setattr(products.Fiber, "__init__", counted)
+    return built
+
+
+def test_each_vertex_fiber_is_built_once(monkeypatch, c4_nerve, cover_map):
+    built = count_fibers(monkeypatch)
+    realization_fibration_certificate(cover_map)
+    # four edge fibers, plus four vertex fibers shared by the edges at them
+    assert len(built) == 8 and len(set(built)) == 8
+
+    built.clear()
+    ltg_check(classifying_map(c4_nerve.sset, SimplexRef(1, (), "a<x")), cover_map)
+    # one fiber per base vertex; the Euler characteristic reuses one of them
+    assert len(built) == 4 and len(set(built)) == 4
+
+    built.clear()
+    ltg_check(interval_vertex("1"), cylinder_projection())
+    # the vertex case and the fiber summary share the fiber over 1
+    assert len(built) == 2 and len(set(built)) == 2

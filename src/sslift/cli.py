@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .cat import FiniteCategory, Functor, nerve
@@ -83,11 +84,11 @@ def _find_ref(x: SimplicialSet, text: str, degree: int | None = None) -> Simplex
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
+    """Set the subcommand's output; main writes it once the exit code is known."""
     if args.json:
-        sys.stdout.write(canonical_json(payload))
+        args.output = canonical_json(payload)
     else:
-        for line in human:
-            print(line)
+        args.output = "".join(f"{line}\n" for line in human)
 
 
 def _describe_witness(w) -> str:
@@ -282,14 +283,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    args.output = ""
     try:
-        return args.func(args)
+        code = args.func(args)
     except InputProblem as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     except (FormatError, ValidationError, SimplicialError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    try:
+        sys.stdout.write(args.output)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone.  Point stdout at devnull so that the flush
+        # at interpreter exit cannot fail again, and keep the exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

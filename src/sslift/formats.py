@@ -165,18 +165,20 @@ def smap_to_json(f: SMap) -> dict:
     }
 
 
+def _nested(doc, field: str, parse):
+    """Parse the object doc[field], moving error paths from $ to $.field."""
+    try:
+        return parse(_need(doc, field, dict, "$"))
+    except FormatError as e:
+        raise FormatError(f"$.{field}" + e.path[1:], str(e).split(": ", 1)[1]) from None
+
+
 def smap_from_json(doc) -> SMap:
     kind = _need(doc, "kind", str, "$")
     if kind != "smap":
         raise FormatError("$.kind", f"expected 'smap', got {kind!r}")
-    try:
-        source = sset_from_json(_need(doc, "source", dict, "$"))
-    except FormatError as e:
-        raise FormatError("$.source" + e.path[1:], str(e).split(": ", 1)[1]) from None
-    try:
-        target = sset_from_json(_need(doc, "target", dict, "$"))
-    except FormatError as e:
-        raise FormatError("$.target" + e.path[1:], str(e).split(": ", 1)[1]) from None
+    source = _nested(doc, "source", sset_from_json)
+    target = _nested(doc, "target", sset_from_json)
     raw = _need(doc, "assignment", dict, "$")
     assignment: dict[int, dict[str, SimplexRef]] = {}
     for key, layer in raw.items():
@@ -248,14 +250,8 @@ def functor_from_json(doc) -> Functor:
     kind = _need(doc, "kind", str, "$")
     if kind != "functor":
         raise FormatError("$.kind", f"expected 'functor', got {kind!r}")
-    try:
-        source = cat_from_json(_need(doc, "source", dict, "$"))
-    except FormatError as e:
-        raise FormatError("$.source" + e.path[1:], str(e).split(": ", 1)[1]) from None
-    try:
-        target = cat_from_json(_need(doc, "target", dict, "$"))
-    except FormatError as e:
-        raise FormatError("$.target" + e.path[1:], str(e).split(": ", 1)[1]) from None
+    source = _nested(doc, "source", cat_from_json)
+    target = _nested(doc, "target", cat_from_json)
     objects = _need(doc, "objects", dict, "$")
     morphisms = _need(doc, "morphisms", dict, "$")
     for name, table in (("objects", objects), ("morphisms", morphisms)):

@@ -6,7 +6,11 @@ satisfying the matching conditions d_j x_k = d_{k-1} x_j, and a base
 simplex tau with d_j tau = p(x_j).  A solution is a degree-n simplex of
 X with those faces lying over tau.  Candidates are ordered by
 (word length, word, cell id), so "the first solution" and "the first
-unsolvable problem" are well defined and reproducible.
+unsolvable problem" are well defined and reproducible.  Every problem
+in range is enumerated, and each is solved by one lookup: a map tables
+the degree-n simplices of its source by (faces at j != i, image) once,
+in candidate order, and a problem's solutions are the entry under its
+own faces and base.
 
 Certificates answer three questions up to a degree cap: are all inner
 horns solvable, does every edge of the target admit a cartesian lift
@@ -98,41 +102,73 @@ def op_problem(problem: HornProblem) -> HornProblem:
     return HornProblem(n, n - problem.i, faces, op_ref(problem.base))
 
 
-# -- candidate indexing -------------------------------------------------------
+# -- lookup tables ------------------------------------------------------------
+#
+# Every table lists simplices in candidate order, so a lookup yields
+# exactly what a scan of refs(n) in that order would keep, in the same
+# order.  Tables are built on first use and kept on the object or map
+# they describe, so they live as long as it does.
 
 
-def _face_index(x: SimplicialSet, degree: int) -> dict[int, dict[SimplexRef, list[SimplexRef]]]:
-    """refs(degree) of x indexed by (face position, face value), sorted."""
-    key = ("findex", degree)
-    hit = x._face_index_cache.get(key)
-    if hit is not None:
+def _kept(build):
+    """Keep build(owner, *args) in owner._lift_tables after the first call."""
+
+    def table(owner, *args):
+        key = (build, *args)
+        hit = owner._lift_tables.get(key)
+        if hit is None:
+            hit = owner._lift_tables[key] = build(owner, *args)
         return hit
-    index: dict[int, dict[SimplexRef, list[SimplexRef]]] = {
-        j: {} for j in range(degree + 1)
-    }
-    for r in x.refs(degree):
-        for j in range(degree + 1):
-            index[j].setdefault(x.face(r, j), []).append(r)
-    x._face_index_cache[key] = index
+
+    return table
+
+
+@_kept
+def _face_table(x: SimplicialSet, degree: int) -> dict[SimplexRef, tuple[SimplexRef, ...]]:
+    """Every degree-n simplex of x with its faces d_0..d_n."""
+    positions = range(degree + 1) if degree > 0 else ()
+    return {r: tuple(x.face(r, j) for j in positions) for r in x.refs(degree)}
+
+
+@_kept
+def _face_index(
+    x: SimplicialSet, degree: int, positions: tuple[int, ...]
+) -> dict[tuple, list[SimplexRef]]:
+    """Degree-n simplices of x keyed by their faces at the given positions."""
+    index: dict[tuple, list[SimplexRef]] = {}
+    for r, faces in _face_table(x, degree).items():
+        index.setdefault(tuple(faces[j] for j in positions), []).append(r)
     return index
 
 
-def _matching(
-    x: SimplicialSet,
-    degree: int,
-    constraints: list[tuple[int, SimplexRef]],
-    pool: list[SimplexRef] | None = None,
-) -> list[SimplexRef]:
-    """Degree-n refs with the prescribed faces, in candidate order."""
-    if not constraints:
-        return list(x.refs(degree)) if pool is None else pool
-    index = _face_index(x, degree)
-    lists = [index[j].get(v, []) for j, v in constraints]
-    if pool is not None:
-        lists.append(pool)
-    lists.sort(key=len)
-    first, rest = lists[0], [set(l) for l in lists[1:]]
-    return [r for r in first if all(r in s for s in rest)]
+@_kept
+def _last_edge_index(x: SimplicialSet, degree: int) -> dict[SimplexRef, dict]:
+    """Degree-n simplices of x keyed by their last edge, each group a dict
+    used as an ordered set (iteration in candidate order, O(1) `in`)."""
+    index: dict[SimplexRef, dict] = {}
+    for r in x.refs(degree):
+        index.setdefault(x.last_edge(r), {})[r] = None
+    return index
+
+
+@_kept
+def _images(p: SMap, degree: int) -> dict[SimplexRef, SimplexRef]:
+    """The image under p of every degree-n simplex of its source."""
+    return {r: image_of_ref(p.value(r.cell_degree, r.cell), r) for r in p.source.refs(degree)}
+
+
+@_kept
+def _solution_table(p: SMap, n: int, i: int) -> dict[tuple, list[SimplexRef]]:
+    """Degree-n simplices of the source keyed by (faces at j != i, image):
+    each (n, i)-horn problem's key leads to its solutions."""
+    images = _images(p, n)
+    table: dict[tuple, list[SimplexRef]] = {}
+    for r, faces in _face_table(p.source, n).items():
+        table.setdefault((faces[:i] + faces[i + 1 :], images[r]), []).append(r)
+    return table
+
+
+_op_map = _kept(opposite_map)
 
 
 # -- single problems ----------------------------------------------------------
@@ -140,9 +176,11 @@ def _matching(
 
 def iter_horn_solutions(p: SMap, problem: HornProblem):
     """The degree-n solutions of a horn problem, lazily, in candidate order."""
-    for tau in _matching(p.source, problem.n, list(problem.faces)):
-        if p.apply(tau) == problem.base:
-            yield tau
+    n, i = problem.n, problem.i
+    if [j for j, _ in problem.faces] != [j for j in range(n + 1) if j != i]:
+        raise SimplicialError("horn problem faces must cover all j != i in order")
+    key = (tuple(r for _, r in problem.faces), problem.base)
+    yield from _solution_table(p, n, i).get(key, ())
 
 
 def horn_solutions(p: SMap, problem: HornProblem) -> list[SimplexRef]:
@@ -167,20 +205,30 @@ def _face_tuples(
 ) -> list[tuple[tuple[int, SimplexRef], ...]]:
     """All mutually compatible face tuples for an (n, i)-horn, in order.
 
-    position_pool(j) may restrict the candidates at position j; tuples are
-    produced lexicographically position by position in candidate order.
+    position_pool(j) may restrict the candidates at position j to an
+    ordered set (a dict in candidate order); tuples are produced
+    lexicographically position by position in candidate order.
     """
     positions = [j for j in range(n + 1) if j != i]
+    faces = _face_table(x, n - 1)
+    # a face at the k-th position is looked up by its faces at the k
+    # positions chosen before it
+    indexes = [_face_index(x, n - 1, tuple(positions[:k])) for k in range(len(positions))]
     out: list[tuple[tuple[int, SimplexRef], ...]] = []
 
     def extend(chosen: list[tuple[int, SimplexRef]]):
-        if len(chosen) == len(positions):
+        k = len(chosen)
+        if k == len(positions):
             out.append(tuple(chosen))
             return
-        pos = positions[len(chosen)]
-        constraints = [(j, x.face(xj, pos - 1)) for j, xj in chosen]
+        pos = positions[k]
+        # matching: d_j c = d_{pos-1} x_j for every chosen x_j
+        fits = indexes[k].get(tuple(faces[xj][pos - 1] for _, xj in chosen), ())
         pool = position_pool(pos) if position_pool is not None else None
-        for cand in _matching(x, n - 1, constraints, pool):
+        if pool is not None:
+            # nothing constrains the first position, so the pool is its list
+            fits = pool if k == 0 else [c for c in fits if c in pool]
+        for cand in fits:
             chosen.append((pos, cand))
             extend(chosen)
             chosen.pop()
@@ -189,16 +237,12 @@ def _face_tuples(
     return out
 
 
-def _bases_for(p: SMap, n: int, i: int, faces) -> list[SimplexRef]:
-    y = p.target
-    constraints = [(j, p.apply(xj)) for j, xj in faces]
-    return _matching(y, n, constraints)
-
-
 def iter_horn_problems(p: SMap, n: int, i: int, position_pool=None):
     """All (n, i)-horn problems against p, least first."""
+    images = _images(p, n - 1)
+    bases = _face_index(p.target, n, tuple(j for j in range(n + 1) if j != i))
     for faces in _face_tuples(p.source, n, i, position_pool):
-        for base in _bases_for(p, n, i, faces):
+        for base in bases.get(tuple(images[xj] for _, xj in faces), ()):
             yield HornProblem(n, i, faces, base)
 
 
@@ -331,26 +375,16 @@ def is_cartesian_edge(
     _check_cap(cap)
     checked = 0
     for n in range(2, cap + 1):
-        last = {r for r in x.refs(n - 1) if x.last_edge(r) == edge}
+        last = _last_edge_index(x, n - 1).get(edge, {})
 
         def pool(j: int, last=last, n=n):
-            if j <= n - 2:
-                return [r for r in x.refs(n - 1) if r in last]
-            return None
+            return last if j <= n - 2 else None
 
         for problem in iter_horn_problems(p, n, n, pool):
             checked += 1
             if solve_horn_lift(p, problem) is None:
                 return False, problem, checked
     return True, None, checked
-
-
-def _op_map(p: SMap) -> SMap:
-    cached = getattr(p, "_op_map", None)
-    if cached is None:
-        cached = opposite_map(p)
-        p._op_map = cached
-    return cached
 
 
 def is_cocartesian_edge(
@@ -369,16 +403,16 @@ def _certify_edge_lifts(
     vertex over its endpoint, some edge over it with that endpoint passes
     the right-horn test."""
     x, y = p.source, p.target
+    vertex_images = _images(p, 0)
     checked = 0
     for g in y.refs(1):
         target_vertex = y.face(g, 0)
         for c in x.refs(0):
-            if p.apply(c) != target_vertex:
+            if vertex_images[c] != target_vertex:
                 continue
             found = False
-            for f in x.refs(1):
-                if p.apply(f) != g or x.face(f, 0) != c:
-                    continue
+            # the edges over g ending at c fill the (1, 1)-horn c over g
+            for f in iter_horn_solutions(p, HornProblem(1, 1, ((0, c),), g)):
                 if effective < 2:
                     # truncation leaves no horn to test the lift against
                     found = True
@@ -629,9 +663,8 @@ def lift_homotopy(
                 g = homotopy.value(1, edge_cell)
                 startv = values[(0, bottom.cell)]
                 chosen = None
-                for f in x.refs(1):
-                    if x.face(f, 1) != startv or p.apply(f) != g:
-                        continue
+                # the edges over g starting at startv fill the (1, 0)-horn startv over g
+                for f in iter_horn_solutions(p, HornProblem(1, 0, ((1, startv),), g)):
                     ok, _, _ = is_cocartesian_edge(p, f, edge_cap)
                     if ok:
                         chosen = f

@@ -94,7 +94,7 @@ class SimplicialSet:
                 self._faces[n][cell_id] = tuple(faces)
         self._act_cache: dict = {}
         self._ref_cache: dict[int, list[SimplexRef]] = {}
-        self._face_index_cache: dict = {}
+        self._lift_tables: dict = {}  # the lifting engine's lookup tables
         self._op_cache: SimplicialSet | None = None
         if check:
             self.validate()
@@ -151,14 +151,12 @@ class SimplicialSet:
         hit = self._act_cache.get(key)
         if hit is not None:
             return hit
-        if phi and (min(phi) < 0 or max(phi) > r.degree):
-            raise SimplicialError(f"map {phi} does not land in [{r.degree}]")
-        if not W.is_monotone(phi):
-            raise SimplicialError(f"map {phi} is not monotone")
-        psi = W.word_to_map(r.word, r.degree)
-        mono, epi = W.epi_mono_factor(W.compose(psi, phi))
+        try:
+            mono, epi = W.split(r.word, r.degree, phi)
+        except ValueError as exc:
+            raise SimplicialError(str(exc)) from None
         base = self._restrict_cell(r.cell_degree, r.cell, mono)
-        word = W.map_to_word(W.compose(W.word_to_map(base.word, base.degree), epi))
+        word = W.renormalize(base.word, base.degree, epi)
         if word and not self.simplicial:
             raise SimplicialError("degenerate simplex in a semi-simplicial set")
         out = SimplexRef(len(phi) - 1, word, base.cell)
@@ -169,10 +167,8 @@ class SimplicialSet:
         """Restrict a nondegenerate cell along an injection given by its image tuple."""
         if len(mono) == degree + 1:
             return SimplexRef(degree, (), cell_id)
-        missing = max(set(range(degree + 1)) - set(mono))
-        face = self.face_tuple(degree, cell_id)[missing]
-        lowered = tuple(v if v < missing else v - 1 for v in mono)
-        return self.act(face, lowered)
+        missing, lowered = W.last_gap(mono, degree)
+        return self.act(self.face_tuple(degree, cell_id)[missing], lowered)
 
     def face(self, r: SimplexRef, i: int) -> SimplexRef:
         if r.degree < 1:
@@ -438,6 +434,7 @@ class SMap:
             for n, layer in assignment.items()
             if layer
         }
+        self._lift_tables: dict = {}  # the lifting engine's lookup tables
         if check:
             self.validate()
 

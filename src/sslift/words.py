@@ -8,9 +8,19 @@ i such that the corresponding monotone surjection collapses the pair
 set is a unique word applied to a nondegenerate cell, so all face and
 degeneracy bookkeeping reduces to composing monotone maps and splitting
 them into surjection and injection parts.
+
+The arithmetic a simplicial set repeats for every simplex depends only
+on words and ordinals, never on the object: the split of a degenerate
+simplex composed with a map, the re-normalized word, the step that
+restricts a cell to one of its faces, and the face injections.  Those
+functions are memoized for the whole process.  Their keys range over
+words and monotone maps of bounded degree, and every result is an
+immutable tuple.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 
 def is_word(word: tuple[int, ...]) -> bool:
@@ -64,6 +74,36 @@ def epi_mono_factor(values: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int
     return tuple(image), tuple(index[v] for v in values)
 
 
+@cache
+def split(word: tuple[int, ...], degree: int, phi: tuple[int, ...]):
+    """Split s o phi into (injection, surjection), where s is the surjection
+    of word at degree and phi: [m] -> [degree] is monotone.
+
+    Raises ValueError when phi leaves [degree] or is not monotone.  A
+    call that raises is not memoized, so a bad phi raises every time.
+    """
+    if phi and (min(phi) < 0 or max(phi) > degree):
+        raise ValueError(f"map {phi} does not land in [{degree}]")
+    if not is_monotone(phi):
+        raise ValueError(f"map {phi} is not monotone")
+    return epi_mono_factor(compose(word_to_map(word, degree), phi))
+
+
+@cache
+def renormalize(word: tuple[int, ...], degree: int, epi: tuple[int, ...]) -> tuple[int, ...]:
+    """Word of the surjection s o epi, where s is the surjection of word at degree."""
+    return map_to_word(compose(word_to_map(word, degree), epi))
+
+
+@cache
+def last_gap(mono: tuple[int, ...], degree: int) -> tuple[int, tuple[int, ...]]:
+    """For an injection into [degree] given by its image, missing some value:
+    the largest missing value k and the injection lowered with mono = delta_k o lowered."""
+    missing = max(set(range(degree + 1)) - set(mono))
+    return missing, tuple(v if v < missing else v - 1 for v in mono)
+
+
+@cache
 def delta_values(i: int, n: int) -> tuple[int, ...]:
     """Injection [n-1] -> [n] skipping the value i."""
     if not 0 <= i <= n:

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from sslift.cat import nerve, nerve_functor
@@ -34,3 +37,11 @@ def tower_map():
 @pytest.fixture(scope="session")
 def circle_sset():
     return circle()
+
+
+@pytest.fixture(scope="session")
+def src_env():
+    """Environment for a subprocess that imports sslift from this checkout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    return {**os.environ, "PYTHONPATH": path}

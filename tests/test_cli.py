@@ -1,6 +1,9 @@
 """Command line driver: exit codes, canonical output, fixture round trips."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -186,3 +189,31 @@ def test_bad_word_or_cap_is_a_one_line_input_error(capsys, argv):
 def test_misplaced_global_flag_is_a_usage_error():
     with pytest.raises(SystemExit):
         main(["nerve", "whatever.cat", "--json"])
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # more output than a pipe buffer holds: the write itself fails
+        (("--json", "nerve", "{z5}", "--cap", "4"), 0),
+        # a short report fails only when stdout is flushed
+        (("--json", "certify", fx("boundary_collapse.ssx")), 1),
+        (("certify", fx("collapse_tower.ssx")), 1),
+        (("--json", "certify", fx("double_cover.ssx")), 0),
+    ],
+)
+def test_closed_stdout_keeps_the_exit_code_without_a_traceback(tmp_path, src_env, argv, code):
+    z5 = tmp_path / "z5.cat"
+    save_path(str(z5), cyclic_group_category(5))
+    args = [str(a).replace("{z5}", str(z5)) for a in argv]
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sslift.cli", *args],
+            stdout=write_end, stderr=subprocess.PIPE, env=src_env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b""
+    assert proc.returncode == code

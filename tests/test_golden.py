@@ -1,8 +1,10 @@
 """Golden outputs: sha256 digests of the --json reports on the fixtures.
 
 The digests pin the exact bytes (and exit codes) of `fibers`,
-`transport`, `ltg-check` and `theorem-b`, so that a change in how the
-reports are built cannot change a byte of what they print.  Replace a
+`transport`, `ltg-check`, `theorem-b` and `certify` (on every map
+fixture, at the default cap and at caps 2-4, which fixes witnesses and
+problem counts), so that a change in how the reports are built cannot
+change a byte of what they print.  Replace a
 digest only for a declared change of output.
 """
 
@@ -60,6 +62,54 @@ GOLDEN = [
      "1d6844446bb45f71a12d1bd922a51e0ba133e5eb686d2bdc62d1687e3c8c65c5"),
     (("theorem-b", "point_a.cat"), 1,
      "0820ca71701f865953fda1ed4aa03ac73d4d6ffb591ad3285a5c90dde8962064"),
+    (("certify", "boundary_collapse.ssx"), 1,
+     "599f6ac3ec6a8e162f1af493c56c7a35b7af6a8f3848d41d51437525d37098fe"),
+    (("certify", "boundary_collapse.ssx", "--cap", "2"), 1,
+     "0e6b4aa077effc438b4ecb36e43c396dfa651a3b28f31c5ab3726a87036f8dd5"),
+    (("certify", "boundary_collapse.ssx", "--cap", "3"), 1,
+     "599f6ac3ec6a8e162f1af493c56c7a35b7af6a8f3848d41d51437525d37098fe"),
+    (("certify", "boundary_collapse.ssx", "--cap", "4"), 1,
+     "6c0d51e3212076d9abcdcb1570064ad94dce4f7b573f3029d0402c27d1c4dd6b"),
+    (("certify", "collapse_tower.ssx"), 1,
+     "15da8e896c3d88818e4f38b2f73da7a21117f8a8f09d909e2e129b8c26b18e8f"),
+    (("certify", "collapse_tower.ssx", "--cap", "2"), 1,
+     "2ce7c7a34d0d636506621597d7b82de4bb3528cb58c34d11d24e19dced0a5867"),
+    (("certify", "collapse_tower.ssx", "--cap", "3"), 1,
+     "15da8e896c3d88818e4f38b2f73da7a21117f8a8f09d909e2e129b8c26b18e8f"),
+    (("certify", "collapse_tower.ssx", "--cap", "4"), 1,
+     "74a947a5c20bce18e5c5b4b148bcd0fdf349f69d2a49c1f85e4c5e24d4ad6574"),
+    (("certify", "cylinder_proj.ssx"), 1,
+     "26334f070cf4a5cb856df7b2efab2f643595ef1b0f130089e62864fb2380d3ac"),
+    (("certify", "cylinder_proj.ssx", "--cap", "2"), 1,
+     "29b53c360322a784f55b8cd0f868ffca74d93276349c47e4b5422363f0c8508e"),
+    (("certify", "cylinder_proj.ssx", "--cap", "3"), 1,
+     "4f473961f7cfa079e216794783d30230486d99e53c96f4628b533339efd99e35"),
+    (("certify", "cylinder_proj.ssx", "--cap", "4"), 1,
+     "26334f070cf4a5cb856df7b2efab2f643595ef1b0f130089e62864fb2380d3ac"),
+    (("certify", "double_cover.ssx"), 0,
+     "3f03eaccdd08abf5065175881056662a2f9cae7c157fea1d5f9a76cc7a6c8f12"),
+    (("certify", "double_cover.ssx", "--cap", "2"), 0,
+     "c7f39230017ad1f97fd86dd35161d0f2ed8df200cbfdf698770bf0e17e85e901"),
+    (("certify", "double_cover.ssx", "--cap", "3"), 0,
+     "3f03eaccdd08abf5065175881056662a2f9cae7c157fea1d5f9a76cc7a6c8f12"),
+    (("certify", "double_cover.ssx", "--cap", "4"), 0,
+     "db1d54601ba718e66e75caadad681652794330497a80fd361aaf7a3a4846ddc4"),
+    (("certify", "edge_into_circle.ssx"), 1,
+     "b5ee0e0162eaae4e8e80bdf6b38d7401f3bcfb45642f8812833832727897f242"),
+    (("certify", "edge_into_circle.ssx", "--cap", "2"), 1,
+     "dc5a2ef5092a75e37de410ece188017a3089b5afb0442d5c6a7b506b351fa667"),
+    (("certify", "edge_into_circle.ssx", "--cap", "3"), 1,
+     "b5ee0e0162eaae4e8e80bdf6b38d7401f3bcfb45642f8812833832727897f242"),
+    (("certify", "edge_into_circle.ssx", "--cap", "4"), 1,
+     "6c315d92a1b5107a59fcf4b4e82eb71394369baf13dc53083df4d148cb60439e"),
+    (("certify", "interval_vertex.ssx"), 1,
+     "9707a6297e8636fcae93230131e59d398fc1414c5cee955bfc387d27db6da4bc"),
+    (("certify", "interval_vertex.ssx", "--cap", "2"), 1,
+     "6c7ea6435bfe2d61ec59d7de1fd7e9e05a30023dcdc7d5f007fce11c15131c03"),
+    (("certify", "interval_vertex.ssx", "--cap", "3"), 1,
+     "9707a6297e8636fcae93230131e59d398fc1414c5cee955bfc387d27db6da4bc"),
+    (("certify", "interval_vertex.ssx", "--cap", "4"), 1,
+     "1e36c47876091a8ad1c38e486da9715ba19789118ec66cdc8ded17324c52b7b5"),
 ]
 
 

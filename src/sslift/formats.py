@@ -167,8 +167,9 @@ def smap_to_json(f: SMap) -> dict:
 
 def _nested(doc, field: str, parse):
     """Parse the object doc[field], moving error paths from $ to $.field."""
+    sub = _need(doc, field, dict, "$")
     try:
-        return parse(_need(doc, field, dict, "$"))
+        return parse(sub)
     except FormatError as e:
         raise FormatError(f"$.{field}" + e.path[1:], str(e).split(": ", 1)[1]) from None
 

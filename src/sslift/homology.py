@@ -1,9 +1,14 @@
-"""Integral simplicial homology via Smith normal form.
+"""Integral simplicial homology: reduction by unit pivots, then Smith
+normal form on what is left.
 
 Chain complexes are built from the nondegenerate cells (normalized chains:
-degenerate faces contribute zero), all arithmetic is over Python integers,
-so coefficients never overflow.  Homology groups carry chosen integral
-generators so that maps of simplicial sets induce explicit matrices.
+degenerate faces contribute zero) with sparse boundaries, and all
+arithmetic is over Python integers, so coefficients never overflow.  Pairs
+of cells joined by a boundary entry 1 or -1 are eliminated first; the
+reduction is kept as data, so cycles move between the original complex
+and the small remainder exactly.  Homology groups carry chosen integral
+generators in the cell basis so that maps of simplicial sets induce
+explicit matrices.
 """
 
 from __future__ import annotations
@@ -81,9 +86,6 @@ class IntMatrix:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def is_zero(self) -> bool:
-        return all(v == 0 for row in self.data for v in row)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, IntMatrix):
             return NotImplemented
@@ -96,49 +98,59 @@ class IntMatrix:
         return [row[:] for row in self.data]
 
 
-def _smith_tracked(m: IntMatrix):
-    """Smith normal form with its transforms u and v, and u's inverse.
+def _smith_tracked(m: IntMatrix, u: bool = True, v: bool = True, u_inv: bool = True):
+    """Smith normal form with the transforms asked for.
 
     Returns (d, u, v, u_inv) with u @ m @ v == d, u and v unimodular,
-    and d diagonal with a divisibility chain.
+    and d diagonal with a divisibility chain; a transform not asked for
+    is None.  The pivot sequence, and so d, does not depend on which
+    transforms are tracked.
     """
     a = m.copy()
     rows, cols = a.rows, a.cols
-    u = IntMatrix.identity(rows)
-    uinv = IntMatrix.identity(rows)
-    v = IntMatrix.identity(cols)
+    tu = IntMatrix.identity(rows) if u else None
+    tuinv = IntMatrix.identity(rows) if u_inv else None
+    tv = IntMatrix.identity(cols) if v else None
 
     def row_swap(i, j):
         a.data[i], a.data[j] = a.data[j], a.data[i]
-        u.data[i], u.data[j] = u.data[j], u.data[i]
-        for r in uinv.data:
-            r[i], r[j] = r[j], r[i]
+        if tu is not None:
+            tu.data[i], tu.data[j] = tu.data[j], tu.data[i]
+        if tuinv is not None:
+            for r in tuinv.data:
+                r[i], r[j] = r[j], r[i]
 
     def col_swap(i, j):
         for r in a.data:
             r[i], r[j] = r[j], r[i]
-        for r in v.data:
-            r[i], r[j] = r[j], r[i]
+        if tv is not None:
+            for r in tv.data:
+                r[i], r[j] = r[j], r[i]
 
     def row_add(i, j, c):
         # row_i += c * row_j
         a.data[i] = [x + c * y for x, y in zip(a.data[i], a.data[j])]
-        u.data[i] = [x + c * y for x, y in zip(u.data[i], u.data[j])]
-        for r in uinv.data:
-            r[j] -= c * r[i]
+        if tu is not None:
+            tu.data[i] = [x + c * y for x, y in zip(tu.data[i], tu.data[j])]
+        if tuinv is not None:
+            for r in tuinv.data:
+                r[j] -= c * r[i]
 
     def col_add(i, j, c):
         # col_i += c * col_j
         for r in a.data:
             r[i] += c * r[j]
-        for r in v.data:
-            r[i] += c * r[j]
+        if tv is not None:
+            for r in tv.data:
+                r[i] += c * r[j]
 
     def row_negate(i):
         a.data[i] = [-x for x in a.data[i]]
-        u.data[i] = [-x for x in u.data[i]]
-        for r in uinv.data:
-            r[i] = -r[i]
+        if tu is not None:
+            tu.data[i] = [-x for x in tu.data[i]]
+        if tuinv is not None:
+            for r in tuinv.data:
+                r[i] = -r[i]
 
     t = 0
     limit = min(rows, cols)
@@ -188,7 +200,7 @@ def _smith_tracked(m: IntMatrix):
         if stuck:
             continue
         t += 1
-    return a, u, v, uinv
+    return a, tu, tv, tuinv
 
 
 def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -197,7 +209,7 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         rows = len(matrix)
         cols = len(matrix[0]) if rows else 0
         matrix = IntMatrix(rows, cols, matrix)
-    d, u, v, _ = _smith_tracked(matrix)
+    d, u, v, _ = _smith_tracked(matrix, u_inv=False)
     return d, u, v
 
 
@@ -212,7 +224,7 @@ class SmithForm:
     __slots__ = ("cols", "u", "v", "diagonal")
 
     def __init__(self, a: IntMatrix):
-        d, u, v, _ = _smith_tracked(a)
+        d, u, v, _ = _smith_tracked(a, u_inv=False)
         self.cols = a.cols
         self.u = u
         self.v = v
@@ -252,12 +264,48 @@ def kernel_basis(a: IntMatrix) -> IntMatrix:
 # -- chain complexes ---------------------------------------------------------
 
 
+class SparseMatrix:
+    """Integer matrix kept by columns: entries[j] maps a row index to the
+    nonzero entry of column j in that row."""
+
+    __slots__ = ("rows", "cols", "entries")
+
+    def __init__(self, rows: int, entries: list[dict[int, int]]):
+        self.rows = rows
+        self.cols = len(entries)
+        self.entries = entries
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    def mul_vec(self, vec: list[int]) -> list[int]:
+        if len(vec) != self.cols:
+            raise ValueError("vector length mismatch")
+        out = [0] * self.rows
+        for c, col in zip(vec, self.entries):
+            if c:
+                for i, v in col.items():
+                    out[i] += c * v
+        return out
+
+    def to_dense(self) -> IntMatrix:
+        m = IntMatrix(self.rows, self.cols)
+        for j, col in enumerate(self.entries):
+            for i, v in col.items():
+                m.data[i][j] = v
+        return m
+
+    def to_lists(self) -> list[list[int]]:
+        return self.to_dense().data
+
+
 @dataclass
 class ChainComplex:
     """Normalized chains: one generator per nondegenerate cell."""
 
     basis: list[list[str]]
-    boundaries: list[IntMatrix]  # boundaries[k]: C_k -> C_{k-1}, k >= 1
+    boundaries: list[SparseMatrix]  # boundaries[k - 1]: C_k -> C_{k-1}, k >= 1
 
     @property
     def dimension(self) -> int:
@@ -268,15 +316,21 @@ class ChainComplex:
             return len(self.basis[k])
         return 0
 
-    def boundary(self, k: int) -> IntMatrix:
+    def boundary(self, k: int) -> SparseMatrix:
         if 1 <= k <= self.dimension:
             return self.boundaries[k - 1]
-        return IntMatrix(self.rank(k - 1), self.rank(k))
+        return SparseMatrix(self.rank(k - 1), [{} for _ in range(self.rank(k))])
 
     def validate(self) -> None:
         for k in range(2, self.dimension + 1):
-            if not (self.boundary(k - 1) @ self.boundary(k)).is_zero():
-                raise SimplicialError(f"boundary squared nonzero in degree {k}")
+            lower = self.boundary(k - 1).entries
+            for col in self.boundary(k).entries:
+                total: dict[int, int] = {}
+                for i, v in col.items():
+                    for r, w in lower[i].items():
+                        total[r] = total.get(r, 0) + v * w
+                if any(total.values()):
+                    raise SimplicialError(f"boundary squared nonzero in degree {k}")
 
 
 def chain_complex(x: SimplicialSet) -> ChainComplex:
@@ -285,14 +339,136 @@ def chain_complex(x: SimplicialSet) -> ChainComplex:
     index = [{c: i for i, c in enumerate(layer)} for layer in basis]
     boundaries = []
     for k in range(1, x.dimension + 1):
-        m = IntMatrix(len(basis[k - 1]), len(basis[k]))
-        for j, cell_id in enumerate(basis[k]):
+        rows = index[k - 1]
+        columns = []
+        for cell_id in basis[k]:
+            col: dict[int, int] = {}
             for i, f in enumerate(x.face_tuple(k, cell_id)):
                 if f.word:
                     continue
-                m.data[index[k - 1][f.cell]][j] += -1 if i % 2 else 1
-        boundaries.append(m)
+                r = rows[f.cell]
+                v = col.get(r, 0) + (-1 if i % 2 else 1)
+                if v:
+                    col[r] = v
+                else:
+                    del col[r]
+            columns.append(col)
+        boundaries.append(SparseMatrix(len(basis[k - 1]), columns))
     return ChainComplex(basis, boundaries)
+
+
+# -- reduction by unit pivots --------------------------------------------------
+
+
+class Reduction:
+    """A chain homotopy equivalence between a complex and a smaller one.
+
+    Each pair (sigma, tau, eps, column, row) in pairs[k] removed the cell
+    tau of degree k together with the cell sigma of degree k - 1, where
+    eps = <d tau, sigma> is 1 or -1.  column is d tau and row maps every
+    other live cell x of degree k to <d x, sigma>, both as they stood when
+    the pair was eliminated.  kept[k] lists, in basis order, the cells of
+    degree k left in the remainder, whose boundaries are over those cells.
+    """
+
+    def __init__(
+        self,
+        original: ChainComplex,
+        remainder: ChainComplex,
+        kept: list[list[int]],
+        pairs: list[list[tuple]],
+    ):
+        self.original = original
+        self.remainder = remainder
+        self.kept = kept
+        self.pairs = pairs
+
+    def _pairs(self, k: int) -> list[tuple]:
+        return self.pairs[k] if 0 <= k < len(self.pairs) else []
+
+    def lift(self, k: int, coords: list[int]) -> list[int]:
+        """The inclusion of the remainder, in degree k: a chain of the
+        remainder as a chain of the original complex."""
+        z = [0] * self.original.rank(k)
+        for i, c in zip(self.kept[k], coords):
+            z[i] = c
+        for _, tau, eps, _, row in reversed(self._pairs(k)):
+            z[tau] = -eps * sum(z[x] * v for x, v in row.items())
+        return z
+
+    def project(self, k: int, z: list[int]) -> list[int]:
+        """The projection onto the remainder, in degree k: each sigma is
+        cleared by subtracting a multiple of d tau, and the paired cells
+        are dropped.  On a cycle it changes z only by boundaries."""
+        z = list(z)
+        for sigma, _, eps, column, _ in self._pairs(k + 1):
+            c = z[sigma] * eps
+            if c:
+                for r, v in column.items():
+                    z[r] -= c * v
+        return [z[i] for i in self.kept[k]]
+
+
+def reduce_unit_pivots(cx: ChainComplex) -> Reduction:
+    """Pair off cells along entries 1 or -1 of the boundaries.
+
+    Degrees go up from 1 and the columns of each boundary are taken in
+    basis order.  A column with a unit entry is paired with the row, among
+    its unit entries, that has the fewest live columns (the lower row
+    index on a tie).  Eliminating the pair clears that row from every
+    other column, so each pair leaves the homology unchanged.
+    """
+    top = cx.dimension
+    pairs: list[list[tuple]] = [[] for _ in range(top + 1)]
+    gone: list[set[int]] = [set() for _ in range(top + 1)]
+    live: list[list[dict[int, int] | None]] = [[]]
+    for k in range(1, top + 1):
+        cols: list[dict[int, int] | None] = [
+            {r: v for r, v in col.items() if r not in gone[k - 1]}
+            for col in cx.boundary(k).entries
+        ]
+        where: dict[int, set[int]] = {}  # row -> live columns with an entry there
+        for j, col in enumerate(cols):
+            for r in col:
+                where.setdefault(r, set()).add(j)
+        for tau, col in enumerate(cols):
+            units = [r for r, v in col.items() if v == 1 or v == -1]
+            if not units:
+                continue
+            sigma = min(units, key=lambda r: (len(where[r]), r))
+            eps = col[sigma]
+            row = {x: cols[x][sigma] for x in where[sigma] if x != tau}
+            pairs[k].append((sigma, tau, eps, col, row))
+            gone[k - 1].add(sigma)
+            gone[k].add(tau)
+            cols[tau] = None
+            for r in col:
+                where[r].discard(tau)
+            for x, c in row.items():
+                target = cols[x]
+                scale = c * eps
+                for r, v in col.items():
+                    w = target.get(r, 0) - scale * v
+                    if w:
+                        if r not in target:
+                            where[r].add(x)
+                        target[r] = w
+                    else:
+                        del target[r]
+                        where[r].discard(x)
+        live.append(cols)
+    kept = [[i for i in range(cx.rank(k)) if i not in gone[k]] for k in range(top + 1)]
+    boundaries = []
+    for k in range(1, top + 1):
+        position = {i: p for p, i in enumerate(kept[k - 1])}
+        boundaries.append(
+            SparseMatrix(
+                len(kept[k - 1]),
+                [{position[r]: v for r, v in live[k][j].items()} for j in kept[k]],
+            )
+        )
+    basis = [[layer[i] for i in keep] for layer, keep in zip(cx.basis, kept)]
+    return Reduction(cx, ChainComplex(basis, boundaries), kept, pairs)
 
 
 # -- homology groups ---------------------------------------------------------
@@ -304,8 +480,9 @@ class HomologyGroup:
 
     orders[i] is 0 for a free generator and t >= 2 for a torsion generator
     of order t; generators are columns of gens in the cell basis.  The
-    internal full data (including discarded order-1 generators) supports
-    expressing arbitrary cycles in this basis.
+    internal full data (including discarded order-1 generators) lives on
+    the reduced complex and supports expressing arbitrary cycles in this
+    basis.
     """
 
     degree: int
@@ -316,9 +493,16 @@ class HomologyGroup:
     _cycles: SmithForm = field(repr=False, default=None)  # factored cycle basis
     _transform: IntMatrix = field(repr=False, default=None)  # U' with relations diagonal
     _orders_full: list[int] = field(repr=False, default=None)
+    _reduction: Reduction | None = field(repr=False, default=None)
 
     def coordinates(self, cycle: list[int]) -> list[int] | None:
-        """Coordinates of a cycle in the kept generator basis, reduced."""
+        """Coordinates of a cycle in the kept generator basis, reduced;
+        None when the chain is not a cycle."""
+        red = self._reduction
+        if red is not None:
+            if any(red.original.boundary(self.degree).mul_vec(cycle)):
+                return None
+            cycle = red.project(self.degree, cycle)
         t0 = self._cycles.solve(cycle)
         if t0 is None:
             return None
@@ -384,22 +568,23 @@ def _trivial_group(degree: int, rank_cells: int) -> HomologyGroup:
     )
 
 
-def homology_of_complex(cx: ChainComplex, top: int | None = None) -> HomologyProfile:
+def homology_of_reduction(red: Reduction, top: int | None = None) -> HomologyProfile:
+    """Homology from the Smith forms of the remainder's boundaries, with
+    the generators lifted back to the cells of the original complex."""
+    cx = red.remainder
     groups = []
     limit = cx.dimension if top is None else top
     for k in range(limit + 1):
-        n_k = cx.rank(k)
-        kern = kernel_basis(cx.boundary(k))
+        kern = kernel_basis(cx.boundary(k).to_dense())
         cycles = SmithForm(kern)
-        img = cx.boundary(k + 1)
         rels = []
-        for col in img.columns():
+        for col in cx.boundary(k + 1).to_dense().columns():
             t = cycles.solve(col)
             if t is None:
                 raise SimplicialError("boundary image escapes the cycle lattice")
             rels.append(t)
         rel_matrix = IntMatrix.from_columns(kern.cols, rels)
-        d, up, _, upinv = _smith_tracked(rel_matrix)
+        d, up, _, upinv = _smith_tracked(rel_matrix, v=False)
         orders_full = []
         for i in range(kern.cols):
             val = d.data[i][i] if i < min(d.rows, d.cols) else 0
@@ -410,7 +595,7 @@ def homology_of_complex(cx: ChainComplex, top: int | None = None) -> HomologyPro
         for i, order in enumerate(orders_full):
             if order == 1:
                 continue
-            kept_cols.append(gens_full.column(i))
+            kept_cols.append(red.lift(k, gens_full.column(i)))
             kept_orders.append(order)
         torsion = sorted(o for o in kept_orders if o)
         betti = sum(1 for o in kept_orders if o == 0)
@@ -419,11 +604,12 @@ def homology_of_complex(cx: ChainComplex, top: int | None = None) -> HomologyPro
                 k,
                 betti,
                 torsion,
-                IntMatrix.from_columns(n_k, kept_cols),
+                IntMatrix.from_columns(red.original.rank(k), kept_cols),
                 kept_orders,
                 _cycles=cycles,
                 _transform=up,
                 _orders_full=orders_full,
+                _reduction=red,
             )
         )
     return HomologyProfile(groups)
@@ -432,16 +618,17 @@ def homology_of_complex(cx: ChainComplex, top: int | None = None) -> HomologyPro
 def homology(x: SimplicialSet) -> HomologyProfile:
     """Integral homology of a finite (semi-)simplicial set.
 
-    For a truncated object, groups are only computed strictly below the
-    truncation degree (the top group would need missing cells) and the
-    profile records the cap.
+    The chain complex is first reduced by unit pivots; Smith forms then
+    run on what is left.  For a truncated object, groups are only
+    computed strictly below the truncation degree (the top group would
+    need missing cells) and the profile records the cap.
     """
-    cx = chain_complex(x)
+    red = reduce_unit_pivots(chain_complex(x))
     if x.truncated_at is not None:
-        profile = homology_of_complex(cx, top=max(x.truncated_at - 1, -1))
+        profile = homology_of_reduction(red, top=max(x.truncated_at - 1, -1))
         profile.truncated_at = x.truncated_at
         return profile
-    return homology_of_complex(cx)
+    return homology_of_reduction(red)
 
 
 # -- induced maps -------------------------------------------------------------
@@ -511,7 +698,7 @@ def is_group_iso(
             col[i] = order
             cols.append(col)
     stacked = IntMatrix.from_columns(r, cols)
-    d, _, _ = smith_normal_form(stacked)
+    d = _smith_tracked(stacked, u=False, v=False, u_inv=False)[0]
     invariant = [d.data[i][i] for i in range(min(d.rows, d.cols))]
     rank = sum(1 for val in invariant if val)
     return rank == r and all(abs(val) == 1 for val in invariant[:rank])

@@ -37,10 +37,6 @@ class SimplexRef(NamedTuple):
     cell: str
 
     @property
-    def is_degenerate(self) -> bool:
-        return bool(self.word)
-
-    @property
     def cell_degree(self) -> int:
         return self.degree - len(self.word)
 
@@ -51,10 +47,6 @@ class SimplexRef(NamedTuple):
         if self.word:
             return f"s[{W.word_string(self.word)}]{self.cell}"
         return self.cell
-
-
-def ref_from_json(doc: dict) -> SimplexRef:
-    return SimplexRef(int(doc["degree"]), W.parse_word(doc["word"]), str(doc["cell"]))
 
 
 def ref_sort_key(r: SimplexRef):
@@ -112,11 +104,6 @@ class SimplicialSet:
         if 0 <= n <= self.dimension:
             return list(self._order[n])
         return []
-
-    def cell_count(self, n: int) -> int:
-        if 0 <= n <= self.dimension:
-            return len(self._order[n])
-        return 0
 
     def counts(self) -> tuple[int, ...]:
         return tuple(len(o) for o in self._order)

@@ -150,3 +150,21 @@ def test_nerve_map_documents_stay_parseable(cover):
     m, _, _ = nerve_functor(cover)
     blob, again = round_trip_bytes(m)
     assert blob == again
+
+
+@pytest.mark.parametrize("field", ["source", "target"])
+@pytest.mark.parametrize("kind", ["smap", "functor"])
+def test_nested_object_errors_name_the_field_once(field, kind, cover_map):
+    good = emit_document(cover_map if kind == "smap" else double_cover())
+    assert good["kind"] == kind
+    with pytest.raises(FormatError) as e:
+        parse_document({**good, field: 3})
+    assert str(e.value) == f"$.{field}: expected dict"
+    missing = {k: v for k, v in good.items() if k != field}
+    with pytest.raises(FormatError) as e:
+        parse_document(missing)
+    assert str(e.value) == f"$: missing field {field!r}"
+    # an error inside the nested document keeps its path under $.field
+    with pytest.raises(FormatError) as e:
+        parse_document({**good, field: {**good[field], "kind": "spline"}})
+    assert str(e.value).startswith(f"$.{field}.kind: ")

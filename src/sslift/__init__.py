@@ -85,8 +85,6 @@ from .products import (
     Product,
     Pullback,
     pair_map,
-    product,
-    pullback,
     pullback_induced,
     restrict_over_simplex,
     vertex_inclusion_map,
@@ -100,10 +98,8 @@ from .sset import (
     boundary,
     classifying_map,
     constant_map,
-    empty_sset,
     horn,
     identity_map,
-    inclusion_smap,
     opposite,
     opposite_map,
     ref_sort_key,

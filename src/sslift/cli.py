@@ -6,7 +6,7 @@ canonical JSON document whose bytes are stable across runs.
 
 Exit codes: 0 success or certified, 1 refuted with a witness,
 2 inconclusive because a cap or truncation got in the way, 3 bad
-input.
+input, usage errors included.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import argparse
 import json
 import os
 import sys
+from functools import cache
 
 from .cat import FiniteCategory, Functor, nerve
 from .formats import FormatError, canonical_json, emit_document, load_path
@@ -34,6 +35,13 @@ EXIT_INPUT = 3
 
 class InputProblem(Exception):
     pass
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors are input problems, reported on one line."""
+
+    def error(self, message):
+        raise InputProblem(message)
 
 
 def _load(path: str, want, what: str):
@@ -132,7 +140,7 @@ def _cmd_fibers(args) -> int:
         lines = [f"fiber over {ref}: cells {fib.sset.counts()}", prof.describe()]
         _emit(args, payload, lines)
         return EXIT_INCONCLUSIVE if prof.truncated_at is not None else EXIT_OK
-    rep = realization_fibration_certificate(p, args.cap)
+    rep = realization_fibration_certificate(p)
     lines = []
     for deg, comps in sorted(rep.by_degree().items()):
         ok = sum(1 for c in comps if c.first_iso and c.last_iso)
@@ -234,8 +242,10 @@ def _cmd_nerve(args) -> int:
     return EXIT_OK
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    """The parser, built once per process; parsing leaves it unchanged."""
+    ap = _Parser(
         prog="sslift",
         description="certify lifting properties of maps of finite simplicial sets",
     )
@@ -250,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("fibers", help="fiber homology over a simplex, or the full comparison")
     s.add_argument("map")
     s.add_argument("--simplex", default=None, help="cell id or [\"word\",\"cell\"]")
-    s.add_argument("--cap", type=int, default=None)
     s.set_defaults(func=_cmd_fibers)
 
     s = sub.add_parser("transport", help="homology transport along a base edge")
@@ -282,14 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    args.output = ""
     try:
+        args = build_parser().parse_args(argv)
+        args.output = ""
         code = args.func(args)
-    except InputProblem as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except (FormatError, ValidationError, SimplicialError) as e:
+    except (InputProblem, FormatError, ValidationError, SimplicialError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
     try:

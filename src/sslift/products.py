@@ -1,16 +1,17 @@
 """Products, level-wise pullbacks, and fiber restrictions.
 
-Nondegenerate cells of a product are pairs of degeneracy words applied to
-nondegenerate cells of the factors, with disjoint words; a pullback keeps
-the pairs on which the two legs of the cospan agree.  Faces are computed
-componentwise and renormalized jointly, so the result is again presented
-by nondegenerate cells only.
+A nondegenerate cell of the pullback of a cospan L -> B <- R is a pair
+of degenerate simplices (s_a x, s_b y) of the factors with disjoint
+degeneracy words a and b and the same image in B.  One join on those
+images builds every paired object: a product is the pullback over a
+point, and the fiber over a simplex is the pullback along its
+classifying map.  Faces are computed componentwise and renormalized
+jointly, so the result is again presented by nondegenerate cells only.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Callable
 
 from . import words as W
 from .sset import (
@@ -19,7 +20,9 @@ from .sset import (
     SimplicialError,
     SimplicialSet,
     classifying_map,
+    image_of_ref,
     standard_simplex,
+    terminal_map,
 )
 
 
@@ -50,6 +53,12 @@ def joint_normal_form(
     return common, new_l, new_r
 
 
+def _drop(word: tuple[int, ...], collapses: tuple[int, ...]) -> tuple[int, ...]:
+    """The word whose surjection, after that of collapses, is the
+    surjection of word; collapses are drawn from word."""
+    return tuple(i - sum(j < i for j in collapses) for i in word if i not in collapses)
+
+
 def _pair_id(left: SimplexRef, right: SimplexRef) -> str:
     return (
         f"{W.word_string(left.word)}|{left.cell}*{W.word_string(right.word)}|{right.cell}"
@@ -57,38 +66,51 @@ def _pair_id(left: SimplexRef, right: SimplexRef) -> str:
 
 
 class PairedSSet:
-    """A simplicial set whose cells are compatible pairs from two factors."""
+    """Level-wise pullback of a cospan along: L -> B <- R :of.
 
-    def __init__(
-        self,
-        left_object: SimplicialSet,
-        right_object: SimplicialSet,
-        compatible: Callable[[SimplexRef, SimplexRef], bool],
-    ):
+    The right factor's nondegenerate cells are indexed once by their
+    value in B.  Every degenerate simplex s_a x of the left factor then
+    has a base image z, and a compatible partner s_b y, with b disjoint
+    from a, exists exactly when b is drawn from the collapses of z and
+    y's value is z with the collapses b taken out.  Over a point every
+    word pair passes and the join yields the Eilenberg-Zilber shuffles.
+    """
+
+    def __init__(self, along: SMap, of: SMap):
+        if along.target != of.target:
+            raise SimplicialError("pullback wants a cospan with a common target")
+        left_object, right_object = along.source, of.source
         if not (left_object.simplicial and right_object.simplicial):
             raise SimplicialError("pairs need simplicial factors")
+        self.along = along
+        self.of = of
         self.left_object = left_object
         self.right_object = right_object
+        over: dict[SimplexRef, list[str]] = {}
+        for q in right_object.degrees():
+            for y in right_object.n_cells(q):
+                over.setdefault(of.value(q, y), []).append(y)
         self.components: dict[tuple[int, str], tuple[SimplexRef, SimplexRef]] = {}
         self._ids: dict[tuple[SimplexRef, SimplexRef], str] = {}
-        bound = max(left_object.dimension + right_object.dimension, -1)
+        top = right_object.dimension
+        bound = max(left_object.dimension + top, -1)
         layers: dict[int, list[tuple[str, tuple[SimplexRef, SimplexRef]]]] = {}
         for n in range(bound + 1):
+            least = max(n - top, 0)  # collapses the right side needs at least
             found: list[tuple[str, tuple[SimplexRef, SimplexRef]]] = []
-            for p in range(min(n, left_object.dimension) + 1):
-                for q in range(min(n, right_object.dimension) + 1):
-                    if (n - p) + (n - q) > n:
-                        continue
+            for p in range(least, min(n, left_object.dimension) + 1):
+                for x in left_object.n_cells(p):
+                    value = along.value(p, x)
                     for a in combinations(range(n - 1, -1, -1), n - p):
-                        for b in combinations(range(n - 1, -1, -1), n - q):
-                            if set(a) & set(b):
-                                continue
-                            for x in left_object.n_cells(p):
-                                lref = SimplexRef(n, a, x)
-                                for y in right_object.n_cells(q):
+                        lref = SimplexRef(n, a, x)
+                        z = image_of_ref(value, lref)
+                        free = [i for i in z.word if i not in a]
+                        for k in range(least, len(free) + 1):
+                            for b in combinations(free, k):
+                                key = SimplexRef(n - k, _drop(z.word, b), z.cell)
+                                for y in over.get(key, ()):
                                     rref = SimplexRef(n, b, y)
-                                    if compatible(lref, rref):
-                                        found.append((_pair_id(lref, rref), (lref, rref)))
+                                    found.append((_pair_id(lref, rref), (lref, rref)))
             found.sort(key=lambda item: item[0])
             layers[n] = found
             for cell_id, pair in found:
@@ -113,7 +135,8 @@ class PairedSSet:
         for t in (left_object.truncated_at, right_object.truncated_at):
             if t is not None:
                 trunc = t if trunc is None else min(trunc, t)
-        self.sset = SimplicialSet(cells, truncated_at=trunc)
+        # built from validated legs, face by face; not validated again
+        self.sset = SimplicialSet(cells, truncated_at=trunc, check=False)
         self.to_left = self._projection(self.left_object, 0)
         self.to_right = self._projection(self.right_object, 1)
 
@@ -132,35 +155,17 @@ class PairedSSet:
         return SimplexRef(left.degree, common, cell_id)
 
 
+Pullback = PairedSSet
+
+
 class Product(PairedSSet):
+    """The product of two simplicial sets: their pullback over a point."""
+
     def __init__(self, left_object: SimplicialSet, right_object: SimplicialSet):
-        super().__init__(left_object, right_object, lambda a, b: True)
+        super().__init__(terminal_map(left_object), terminal_map(right_object))
 
 
-class Pullback(PairedSSet):
-    """Level-wise pullback of a cospan F: Y' -> Y <- X : P."""
-
-    def __init__(self, along: SMap, of: SMap):
-        if along.target != of.target:
-            raise SimplicialError("pullback wants a cospan with a common target")
-        self.along = along
-        self.of = of
-        super().__init__(
-            along.source,
-            of.source,
-            lambda a, b: along.apply(a) == of.apply(b),
-        )
-
-
-def product(x: SimplicialSet, y: SimplicialSet) -> Product:
-    return Product(x, y)
-
-
-def pullback(along: SMap, of: SMap) -> Pullback:
-    return Pullback(along, of)
-
-
-class Fiber(Pullback):
+class Fiber(PairedSSet):
     """Restriction of a map over a single simplex of its target."""
 
     def __init__(self, p: SMap, simplex: SimplexRef):

@@ -311,10 +311,6 @@ def simplex_in_standard(n: int, vertices: Iterable[int]) -> SimplexRef:
     return SimplexRef(len(vs) - 1, W.map_to_word(epi), _subset_id(mono))
 
 
-def empty_sset(simplicial: bool = True) -> SimplicialSet:
-    return SimplicialSet({}, simplicial=simplicial)
-
-
 def subcomplex(ambient: SimplicialSet, seeds: Iterable[tuple[int, str]]) -> SimplicialSet:
     """The smallest subobject of ambient containing the seed cells, same ids."""
     keep: set[tuple[int, str]] = set()
@@ -493,14 +489,6 @@ def identity_map(x: SimplicialSet) -> SMap:
         n: {c: SimplexRef(n, (), c) for c in x.n_cells(n)} for n in x.degrees()
     }
     return SMap(x, x, assignment, check=False)
-
-
-def inclusion_smap(sub: SimplicialSet, ambient: SimplicialSet) -> SMap:
-    """Inclusion of a subobject whose cells share identifiers with the ambient."""
-    assignment = {
-        n: {c: SimplexRef(n, (), c) for c in sub.n_cells(n)} for n in sub.degrees()
-    }
-    return SMap(sub, ambient, assignment)
 
 
 def constant_map(x: SimplicialSet, y: SimplicialSet, vertex: SimplexRef) -> SMap:

@@ -42,7 +42,6 @@ class SimplexComparison:
 
 @dataclass
 class RealizationReport:
-    cap: int | None
     comparisons: list[SimplexComparison]
     status: str
     witness: tuple[SimplexRef, str] | None
@@ -56,7 +55,7 @@ class RealizationReport:
     def to_json(self) -> dict:
         return {
             "status": self.status,
-            "cap": self.cap,
+            "cap": None,  # no cap applies; kept because pinned and golden digests hash it
             "comparisons": [c.to_json() for c in self.comparisons],
             "witness": None
             if self.witness is None
@@ -64,7 +63,7 @@ class RealizationReport:
         }
 
 
-def realization_fibration_certificate(p: SMap, cap: int | None = None) -> RealizationReport:
+def realization_fibration_certificate(p: SMap) -> RealizationReport:
     """Compare vertex fibers with whole-simplex fibers over every base cell."""
     y = p.target
     comparisons = []
@@ -78,7 +77,7 @@ def realization_fibration_certificate(p: SMap, cap: int | None = None) -> Realiz
             if witness is None and not (first.is_iso and last.is_iso):
                 witness = (sigma, "last" if first.is_iso else "first")
     status = "certified" if witness is None else "refuted"
-    return RealizationReport(cap, comparisons, status, witness)
+    return RealizationReport(comparisons, status, witness)
 
 
 @dataclass

@@ -166,6 +166,13 @@ def test_input_problems_exit_3(capsys, tmp_path):
     assert run(capsys, "homology", bad)[0] == 3
 
 
+def assert_one_line_input_error(capsys, argv):
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 3 and captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -180,15 +187,79 @@ def test_input_problems_exit_3(capsys, tmp_path):
     ],
 )
 def test_bad_word_or_cap_is_a_one_line_input_error(capsys, argv):
-    code = main([str(a) for a in argv])
-    captured = capsys.readouterr()
-    assert code == 3 and captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert_one_line_input_error(capsys, argv)
 
 
-def test_misplaced_global_flag_is_a_usage_error():
-    with pytest.raises(SystemExit):
-        main(["nerve", "whatever.cat", "--json"])
+def test_misplaced_global_flag_is_a_usage_error(capsys):
+    # a global flag after the subcommand is not recognized there
+    assert_one_line_input_error(capsys, ("nerve", "whatever.cat", "--json"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("frobnicate", fx("circle.ssx")),
+        ("nerve",),
+        ("--json",),
+        ("nerve", fx("point_a.cat"), "--cap", "abc"),
+        # fibers has no cap: a horn cap has no bearing on fiber homology
+        ("fibers", fx("double_cover.ssx"), "--cap", "1"),
+    ],
+)
+def test_usage_errors_exit_3_with_one_line(capsys, argv):
+    assert_one_line_input_error(capsys, argv)
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["fibers", "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith("usage: sslift fibers") and "--cap" not in out
+
+
+def test_in_process_calls_match_fresh_processes(capsys, monkeypatch, src_env):
+    # main reuses one parser for the whole process; a run of calls with
+    # different subcommands, flags and failures must still answer each
+    # exactly as a fresh process does
+    monkeypatch.setenv("COLUMNS", "80")
+    env = {**src_env, "COLUMNS": "80"}
+    calls = [
+        ("--json", "certify", fx("double_cover.ssx")),
+        ("certify", fx("collapse_tower.ssx"), "--cap", "3"),
+        ("nerve", fx("point_a.cat"), "--cap", "abc"),
+        ("--json", "fibers", fx("double_cover.ssx"), "--simplex", "a<x"),
+        ("fibers", fx("boundary_collapse.ssx")),
+        ("fibers", fx("double_cover.ssx"), "--cap", "1"),
+        ("transport", fx("double_cover.ssx"), "--edge", "a<x", "--backward"),
+        ("--json", "transport", fx("double_cover.ssx"), "--edge", "a<x"),
+        ("transport", fx("double_cover.ssx")),
+        ("homology", fx("circle.ssx")),
+        ("--json", "homology", fx("circle.ssx")),
+        ("nerve", fx("pseudo_circle.cat"), "--json"),
+        ("--json", "nerve", fx("pseudo_circle.cat")),
+        ("theorem-b", fx("point_a.cat")),
+        ("ltg-check", "--cospan", fx("interval_vertex.ssx"), fx("cylinder_proj.ssx")),
+        ("ltg-check", "--cospan", fx("interval_vertex.ssx")),
+        ("certify", fx("missing.ssx")),
+        ("frobnicate",),
+        ("homology", "--help"),
+        ("--json", "certify", fx("double_cover.ssx")),
+    ]
+    for argv in calls:
+        argv = [str(a) for a in argv]
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        proc = subprocess.run(
+            [sys.executable, "-m", "sslift.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (code, captured.out, captured.err) == (
+            proc.returncode, proc.stdout, proc.stderr
+        ), argv
 
 
 @pytest.mark.parametrize(

@@ -61,6 +61,8 @@ q = SMap(bad, standard_simplex(2), {
         "z": SimplexRef(0, (), "2")},
     1: {"e01": SimplexRef(1, (), "0.1"), "e02": SimplexRef(1, (), "0.2")},
 })
+bad.validate()  # built by hand, so checked by hand
+q.validate()
 prism = cylinder(pt)
 homotopy = classifying_map(q.target, SimplexRef(1, (), "0.1")).compose(prism.to_right)
 start, j_sub = start_map(

@@ -33,16 +33,12 @@ class FiniteCategory:
         morphisms: dict[str, tuple[str, str]],
         identities: dict[str, str],
         compose: dict[str, str],
-        *,
-        check: bool = True,
     ):
         self.objects = [str(o) for o in objects]
         self.morphisms = {str(m): (str(s), str(t)) for m, (s, t) in morphisms.items()}
         self.identities = {str(o): str(m) for o, m in identities.items()}
         self.compose_table = {str(k): str(v) for k, v in compose.items()}
         self._hom_cache: dict[tuple[str, str], list[str]] = {}
-        if check:
-            self.validate()
 
     def src(self, m: str) -> str:
         return self.morphisms[m][0]
@@ -81,6 +77,7 @@ class FiniteCategory:
         return sorted(m for m in self.morphisms if not self.is_identity(m))
 
     def validate(self) -> None:
+        """Check the category laws."""
         obj_set = set(self.objects)
         if len(obj_set) != len(self.objects):
             raise ValidationError("duplicate object identifiers")
@@ -187,7 +184,7 @@ def op_category(c: FiniteCategory) -> FiniteCategory:
     for key, h in c.compose_table.items():
         g, f = key.split(COMPOSE_SIGN)
         compose[compose_key(f, g)] = h
-    return FiniteCategory(c.objects, morphisms, dict(c.identities), compose, check=False)
+    return FiniteCategory(c.objects, morphisms, dict(c.identities), compose)
 
 
 class Functor:
@@ -197,15 +194,11 @@ class Functor:
         target: FiniteCategory,
         object_map: dict[str, str],
         morphism_map: dict[str, str],
-        *,
-        check: bool = True,
     ):
         self.source = source
         self.target = target
         self.object_map = {str(a): str(b) for a, b in object_map.items()}
         self.morphism_map = {str(f): str(g) for f, g in morphism_map.items()}
-        if check:
-            self.validate()
 
     def on_object(self, o: str) -> str:
         return self.object_map[o]
@@ -214,6 +207,7 @@ class Functor:
         return self.morphism_map[m]
 
     def validate(self) -> None:
+        """Check functoriality; source and target are taken as valid."""
         if set(self.object_map) != set(self.source.objects):
             raise ValidationError("object map does not cover the source objects")
         if set(self.morphism_map) != set(self.source.morphisms):
@@ -248,7 +242,6 @@ class Functor:
             self.target,
             {o: self.object_map[m] for o, m in other.object_map.items()},
             {f: self.morphism_map[m] for f, m in other.morphism_map.items()},
-            check=False,
         )
 
     def __eq__(self, other) -> bool:
@@ -263,9 +256,7 @@ class Functor:
 
 
 def identity_functor(c: FiniteCategory) -> Functor:
-    return Functor(
-        c, c, {o: o for o in c.objects}, {m: m for m in c.morphisms}, check=False
-    )
+    return Functor(c, c, {o: o for o in c.objects}, {m: m for m in c.morphisms})
 
 
 def op_functor(f: Functor) -> Functor:
@@ -274,7 +265,6 @@ def op_functor(f: Functor) -> Functor:
         op_category(f.target),
         dict(f.object_map),
         dict(f.morphism_map),
-        check=False,
     )
 
 
@@ -439,14 +429,12 @@ def comma_category(f: Functor) -> tuple[FiniteCategory, Functor, Functor]:
         c_cat,
         {o: obj_data[o][0] for o in objects},
         {m: mor_data[m][0] for m in morphisms},
-        check=False,
     )
     to_d = Functor(
         cat,
         d_cat,
         {o: d_cat.tgt(obj_data[o][1]) for o in objects},
         {m: mor_data[m][1] for m in morphisms},
-        check=False,
     )
     return cat, to_c, to_d
 
@@ -498,7 +486,6 @@ def slice_category(f: Functor, d: str) -> tuple[FiniteCategory, Functor]:
         c_cat,
         {o: obj_data[o][0] for o in objects},
         {m: mor_data[m] for m in morphisms},
-        check=False,
     )
     return cat, to_c
 

@@ -6,7 +6,7 @@ canonical JSON document whose bytes are stable across runs.
 
 Exit codes: 0 success or certified, 1 refuted with a witness,
 2 inconclusive because a cap or truncation got in the way, 3 bad
-input, usage errors included.
+input, usage errors included, 4 an internal fault of sslift itself.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
+EXIT_INTERNAL = 4
 
 
 class InputProblem(Exception):
@@ -156,7 +157,9 @@ def _cmd_fibers(args) -> int:
 def _cmd_transport(args) -> int:
     p = _load(args.map, SMap, "map")
     edge = _find_ref(p.target, args.edge, degree=1)
-    res = transport_homology(p, edge, backward=args.backward)
+    report = certify_fibration_class(p)
+    cert = report.cartesian if args.backward else report.cocartesian
+    res = transport_homology(p, edge, backward=args.backward, certificate=cert)
     lines = [
         f"{'backward' if res.backward else 'forward'} transport along {edge}",
         f"certificate: {res.certificate_status}",
@@ -298,6 +301,9 @@ def main(argv=None) -> int:
     except (InputProblem, FormatError, ValidationError, SimplicialError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:  # a fault in sslift, not in the input
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
     try:
         sys.stdout.write(args.output)
         sys.stdout.flush()

@@ -21,6 +21,10 @@ An sset document may carry "truncated_at" when only an initial segment
 of an infinite object is listed, and "tags" (a sorted list of strings,
 e.g. marking nerves) which feed the certification cap defaults.
 
+Every parsed object is validated before it is returned, a nested source
+or target first.  Outside data enters only here; what the library builds
+from parsed objects is trusted and not validated again.
+
 Emission is canonical (sorted keys, two-space indent, raw UTF-8, one
 trailing newline) and preserves cell and morphism order, so parse and
 emit are mutually inverse on canonical files, byte for byte.
@@ -61,6 +65,12 @@ def _need(doc, key: str, kind, path: str):
     if kind is not None and not isinstance(value, kind):
         raise FormatError(f"{path}.{key}", f"expected {kind.__name__}")
     return value
+
+
+def _checked(obj):
+    """The parsed object, once its validate() has passed."""
+    obj.validate()
+    return obj
 
 
 def _parse_ref(entry, degree: int, path: str) -> SimplexRef:
@@ -144,7 +154,9 @@ def sset_from_json(doc) -> SimplicialSet:
                 raise FormatError(f"{epath}.faces", "vertices take no faces")
             parsed.append((cell_id, faces))
         cells[n] = parsed
-    return SimplicialSet(cells, simplicial=simplicial, truncated_at=truncated, tags=tags)
+    return _checked(
+        SimplicialSet(cells, simplicial=simplicial, truncated_at=truncated, tags=tags)
+    )
 
 
 # -- simplicial maps ----------------------------------------------------------
@@ -192,7 +204,7 @@ def smap_from_json(doc) -> SMap:
         assignment[n] = {
             c: _parse_ref(entry, n, f"{path}.{c}") for c, entry in layer.items()
         }
-    return SMap(source, target, assignment)
+    return _checked(SMap(source, target, assignment))
 
 
 # -- categories ---------------------------------------------------------------
@@ -234,7 +246,7 @@ def cat_from_json(doc) -> FiniteCategory:
         for k, v in table.items():
             if not isinstance(v, str):
                 raise FormatError(f"$.{name}.{k}", "expected a morphism id string")
-    return FiniteCategory(objects, morphisms, identities, compose)
+    return _checked(FiniteCategory(objects, morphisms, identities, compose))
 
 
 def functor_to_json(f: Functor) -> dict:
@@ -259,7 +271,7 @@ def functor_from_json(doc) -> Functor:
         for k, v in table.items():
             if not isinstance(v, str):
                 raise FormatError(f"$.{name}.{k}", "expected an identifier string")
-    return Functor(source, target, objects, morphisms)
+    return _checked(Functor(source, target, objects, morphisms))
 
 
 # -- files ---------------------------------------------------------------------

@@ -569,7 +569,7 @@ def start_map(
                     phi = W.word_to_map(rref.word, n)
                     value = x.act(e, phi)
             assignment.setdefault(n, {})[c] = value
-    return SMap(region, x, assignment, check=False), j_sub
+    return SMap(region, x, assignment), j_sub
 
 
 def lift_homotopy(
@@ -710,6 +710,8 @@ def lift_homotopy(
     for (n, cell_id), r in values.items():
         assignment.setdefault(n, {})[cell_id] = r
     lift = SMap(prism.sset, x, assignment)
+    # the lift is a search result: check that it is a map, then audit it
+    lift.validate()
     for n, cell_id, _ in prism.sset.cell_items():
         if p.apply(lift.value(n, cell_id)) != homotopy.value(n, cell_id):
             raise SimplicialError("audit failed: the lift does not cover the homotopy")

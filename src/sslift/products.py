@@ -135,8 +135,7 @@ class PairedSSet:
         for t in (left_object.truncated_at, right_object.truncated_at):
             if t is not None:
                 trunc = t if trunc is None else min(trunc, t)
-        # built from validated legs, face by face; not validated again
-        self.sset = SimplicialSet(cells, truncated_at=trunc, check=False)
+        self.sset = SimplicialSet(cells, truncated_at=trunc)
         self.to_left = self._projection(self.left_object, 0)
         self.to_right = self._projection(self.right_object, 1)
 
@@ -144,7 +143,7 @@ class PairedSSet:
         assignment: dict[int, dict[str, SimplexRef]] = {}
         for (n, cell_id), pair in self.components.items():
             assignment.setdefault(n, {})[cell_id] = pair[side]
-        return SMap(self.sset, target, assignment, check=False)
+        return SMap(self.sset, target, assignment)
 
     def pair_ref(self, left: SimplexRef, right: SimplexRef) -> SimplexRef:
         """The simplex of the paired object with the given component refs."""
@@ -169,7 +168,6 @@ class Fiber(PairedSSet):
     """Restriction of a map over a single simplex of its target."""
 
     def __init__(self, p: SMap, simplex: SimplexRef):
-        p.target.resolve(simplex)
         self.base_ref = simplex
         self.classifier = classifying_map(p.target, simplex)
         super().__init__(self.classifier, p)

@@ -64,7 +64,6 @@ class SimplicialSet:
         simplicial: bool = True,
         truncated_at: int | None = None,
         tags: Iterable[str] = (),
-        check: bool = True,
     ):
         self.simplicial = bool(simplicial)
         self.truncated_at = truncated_at
@@ -88,8 +87,6 @@ class SimplicialSet:
         self._ref_cache: dict[int, list[SimplexRef]] = {}
         self._lift_tables: dict = {}  # the lifting engine's lookup tables
         self._op_cache: SimplicialSet | None = None
-        if check:
-            self.validate()
 
     # -- basic structure ------------------------------------------------
 
@@ -215,6 +212,7 @@ class SimplicialSet:
     # -- validation ------------------------------------------------------
 
     def validate(self) -> None:
+        """Check the face data and the simplicial identities."""
         for n, cell_id, faces in self.cell_items():
             if n == 0:
                 if faces:
@@ -407,8 +405,6 @@ class SMap:
         source: SimplicialSet,
         target: SimplicialSet,
         assignment: dict[int, dict[str, SimplexRef]],
-        *,
-        check: bool = True,
     ):
         self.source = source
         self.target = target
@@ -418,8 +414,6 @@ class SMap:
             if layer
         }
         self._lift_tables: dict = {}  # the lifting engine's lookup tables
-        if check:
-            self.validate()
 
     def value(self, n: int, cell_id: str) -> SimplexRef:
         try:
@@ -429,7 +423,10 @@ class SMap:
 
     def apply(self, r: SimplexRef) -> SimplexRef:
         """Image of an arbitrary simplex reference of the source."""
-        self.source.resolve(r)
+        return self._image(self.source.resolve(r))
+
+    def _image(self, r: SimplexRef) -> SimplexRef:
+        """Image of a ref taken from the source's own tables, unresolved."""
         return image_of_ref(self.value(r.cell_degree, r.cell), r)
 
     def compose(self, other: "SMap") -> "SMap":
@@ -438,10 +435,11 @@ class SMap:
             raise SimplicialError("composition mismatch: target != source")
         assignment: dict[int, dict[str, SimplexRef]] = {}
         for n, layer in other.assignment.items():
-            assignment[n] = {c: self.apply(r) for c, r in layer.items()}
-        return SMap(other.source, self.target, assignment, check=False)
+            assignment[n] = {c: self._image(r) for c, r in layer.items()}
+        return SMap(other.source, self.target, assignment)
 
     def validate(self) -> None:
+        """Check that the assignment is a map; source and target are taken as valid."""
         src, tgt = self.source, self.target
         if src.simplicial and not tgt.simplicial:
             raise ValidationError("no maps from simplicial to semi-simplicial objects")
@@ -466,7 +464,7 @@ class SMap:
                 continue
             image = self.value(n, cell_id)
             for i, f in enumerate(faces):
-                if self.apply(f) != tgt.face(image, i):
+                if self._image(f) != tgt.face(image, i):
                     raise ValidationError(
                         f"face {i} of {cell_id!r} does not commute with the map"
                     )
@@ -488,7 +486,7 @@ def identity_map(x: SimplicialSet) -> SMap:
     assignment = {
         n: {c: SimplexRef(n, (), c) for c in x.n_cells(n)} for n in x.degrees()
     }
-    return SMap(x, x, assignment, check=False)
+    return SMap(x, x, assignment)
 
 
 def constant_map(x: SimplicialSet, y: SimplicialSet, vertex: SimplexRef) -> SMap:
@@ -500,7 +498,7 @@ def constant_map(x: SimplicialSet, y: SimplicialSet, vertex: SimplexRef) -> SMap
     for n in x.degrees():
         full = tuple(range(n - 1, -1, -1))
         assignment[n] = {c: SimplexRef(n, full, vertex.cell) for c in x.n_cells(n)}
-    return SMap(x, y, assignment, check=False)
+    return SMap(x, y, assignment)
 
 
 def terminal_map(x: SimplicialSet) -> SMap:
@@ -519,7 +517,7 @@ def classifying_map(y: SimplicialSet, r: SimplexRef) -> SMap:
             vs = tuple(int(p) for p in cell_id.split("."))
             layer[cell_id] = y.act(r, vs)
         assignment[k] = layer
-    return SMap(source, y, assignment, check=False)
+    return SMap(source, y, assignment)
 
 
 def opposite_map(f: SMap) -> SMap:
@@ -527,7 +525,7 @@ def opposite_map(f: SMap) -> SMap:
         n: {c: op_ref(r) for c, r in layer.items()}
         for n, layer in f.assignment.items()
     }
-    return SMap(opposite(f.source), opposite(f.target), assignment, check=False)
+    return SMap(opposite(f.source), opposite(f.target), assignment)
 
 
 def restrict_map(f: SMap, sub: SimplicialSet) -> SMap:
@@ -535,7 +533,7 @@ def restrict_map(f: SMap, sub: SimplicialSet) -> SMap:
     assignment = {
         n: {c: f.value(n, c) for c in sub.n_cells(n)} for n in sub.degrees()
     }
-    return SMap(sub, f.target, assignment, check=False)
+    return SMap(sub, f.target, assignment)
 
 
 def same_map_on(f: SMap, g: SMap, sub: SimplicialSet) -> bool:

@@ -35,7 +35,6 @@ from .homology import (
     is_group_iso,
     pi0,
 )
-from .lifting import certify_fibration_class
 from .products import Fiber, pullback_induced, restrict_over_simplex, vertex_inclusion_map
 from .sset import SMap, SimplexRef, SimplicialError, identity_map
 
@@ -191,29 +190,22 @@ def transport_homology(
     p: SMap,
     edge: SimplexRef,
     backward: bool = False,
-    cap: int | None = None,
     certificate=None,
-    certify: bool = True,
     profiles: dict | None = None,
 ) -> TransportResult:
     """Move fiber homology along an edge of the base of p.
 
     profiles, when given, caches vertex fiber homology across calls so
     that matrices along composable edges share generator bases.  The
-    certificate (or a fresh certification when absent, unless certify is
-    False) records whether the relevant lifting class held; the
-    transport itself only needs the inverted leg to be a homology
-    isomorphism.
+    certificate, when given, is the caller's record of whether the
+    relevant lifting class (cartesian backward, cocartesian forward)
+    held, and its status is reported; the transport itself only needs
+    the inverted leg to be a homology isomorphism.
     """
     p.target.resolve(edge)
     if edge.degree != 1:
         raise SimplicialError("transport wants an edge of the base")
-    status = None
-    if certificate is not None:
-        status = certificate.status
-    elif certify:
-        report = certify_fibration_class(p, cap)
-        status = (report.cartesian if backward else report.cocartesian).status
+    status = certificate.status if certificate is not None else None
 
     prof_edge, leg_src, leg_tgt = vertex_legs(p, edge, profiles)
     invert, push = (leg_src, leg_tgt) if backward else (leg_tgt, leg_src)

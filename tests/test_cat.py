@@ -25,7 +25,7 @@ from sslift.cat import (
     string_normal_form,
 )
 from sslift.homology import homology
-from sslift.sset import SimplexRef, SimplicialError
+from sslift.sset import SimplexRef, SimplicialError, ValidationError
 from sslift.cat import compose_key
 
 
@@ -59,14 +59,15 @@ def test_cyclic_group_category():
 
 
 def test_reserved_characters_rejected():
-    with pytest.raises(Exception):
-        FiniteCategory(
-            ["a"],
-            {"id_a": ("a", "a"), "f|g": ("a", "a")},
-            {"a": "id_a"},
-            {compose_key("f|g", "f|g"): "id_a", compose_key("id_a", "f|g"): "f|g",
-             compose_key("f|g", "id_a"): "f|g", compose_key("id_a", "id_a"): "id_a"},
-        )
+    c = FiniteCategory(
+        ["a"],
+        {"id_a": ("a", "a"), "f|g": ("a", "a")},
+        {"a": "id_a"},
+        {compose_key("f|g", "f|g"): "id_a", compose_key("id_a", "f|g"): "f|g",
+         compose_key("f|g", "id_a"): "f|g", compose_key("id_a", "id_a"): "id_a"},
+    )
+    with pytest.raises(ValidationError, match="reserved character"):
+        c.validate()
 
 
 def test_nerve_counts_match_chain_oracle(c4, c4_nerve):

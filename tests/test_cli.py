@@ -8,11 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from sslift.cat import cyclic_group_category
-from sslift.cli import main
+import sslift.cli
+from sslift.cat import FiniteCategory, Functor, compose_key, cyclic_group_category
+from sslift.cli import EXIT_INTERNAL, main
 from sslift.corpus import write_fixtures
 from sslift.formats import save_path
-from sslift.sset import SimplexRef, constant_map, standard_simplex
+from sslift.sset import SMap, SimplexRef, SimplicialSet, constant_map, standard_simplex
+
+from tests.test_sset import mismatched_triangle
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -171,6 +174,7 @@ def assert_one_line_input_error(capsys, argv):
     captured = capsys.readouterr()
     assert code == 3 and captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    return captured.err
 
 
 @pytest.mark.parametrize(
@@ -193,6 +197,68 @@ def test_bad_word_or_cap_is_a_one_line_input_error(capsys, argv):
 def test_misplaced_global_flag_is_a_usage_error(capsys):
     # a global flag after the subcommand is not recognized there
     assert_one_line_input_error(capsys, ("nerve", "whatever.cat", "--json"))
+
+
+def _unit_law_category(reserved: bool) -> FiniteCategory:
+    """One object with one extra endomorphism f.  With reserved, f is
+    named "f|g" and the laws hold; without, id_a o f is id_a, breaking
+    the left unit law."""
+    f = "f|g" if reserved else "f"
+    return FiniteCategory(
+        ["a"],
+        {"id_a": ("a", "a"), f: ("a", "a")},
+        {"a": "id_a"},
+        {
+            compose_key(f, f): "id_a",
+            compose_key("id_a", f): f if reserved else "id_a",
+            compose_key(f, "id_a"): f,
+            compose_key("id_a", "id_a"): "id_a",
+        },
+    )
+
+
+def _invalid_documents():
+    """One document of each kind that parses but fails validate()."""
+    arrow = SimplicialSet({0: [("a", []), ("b", [])],
+                           1: [("e", [SimplexRef(0, (), "b"), SimplexRef(0, (), "a")])]})
+    # both ends go to vertex 0, yet the edge goes to the edge 0 -> 1
+    zero = SimplexRef(0, (), "0")
+    squashed = SMap(
+        arrow, standard_simplex(1), {0: {"a": zero, "b": zero}, 1: {"e": SimplexRef(1, (), "0.1")}}
+    )
+    # g1 o g1 = g0 in Z/2 but g1 o g1 = g2 in Z/3
+    doubling = Functor(cyclic_group_category(2), cyclic_group_category(3),
+                       {"*": "*"}, {"g0": "g0", "g1": "g1"})
+    return [
+        ("triangle.ssx", mismatched_triangle(), "homology", "simplicial identity"),
+        ("squashed.ssx", squashed, "certify", "does not commute"),
+        ("reserved.cat", _unit_law_category(True), "nerve", "reserved character"),
+        ("unit.cat", _unit_law_category(False), "nerve", "left unit"),
+        ("doubling.cat", doubling, "theorem-b", "composition fails"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, obj, command, message",
+    _invalid_documents(),
+    ids=[doc[0] for doc in _invalid_documents()],
+)
+def test_parseable_invalid_documents_exit_3(capsys, tmp_path, name, obj, command, message):
+    # constructors do not validate, so formats is what refuses these
+    save_path(tmp_path / name, obj)
+    err = assert_one_line_input_error(capsys, (command, tmp_path / name))
+    assert message in err
+
+
+def test_internal_fault_exits_4_with_one_line(capsys, monkeypatch):
+    def broken(*_args, **_kwargs):
+        raise RuntimeError("deliberate fault")
+
+    monkeypatch.setattr(sslift.cli, "homology", broken)
+    code = main(["homology", str(fx("circle.ssx"))])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL == 4 and captured.out == ""
+    assert captured.err == "internal error: RuntimeError: deliberate fault\n"
 
 
 @pytest.mark.parametrize(

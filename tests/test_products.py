@@ -347,7 +347,7 @@ def test_mismatched_cospan_raises_before_the_factor_check():
     semi = semi_simplicial_loop()
     point = standard_simplex(0)
     to_point = SMap(semi, point, {0: {"v": SimplexRef(0, (), "0")},
-                                  1: {"e": SimplexRef(1, (0,), "0")}}, check=False)
+                                  1: {"e": SimplexRef(1, (0,), "0")}})
     with pytest.raises(SimplicialError, match="common target"):
         PairedSSet(to_point, into_circle)
     with pytest.raises(SimplicialError, match="simplicial factors"):

@@ -174,26 +174,31 @@ def test_opposite_involution():
 
 def test_validation_catches_bad_faces():
     pt = SimplexRef(0, (), "p")
+    wrong_count = SimplicialSet({0: [("p", [])], 1: [("e", [pt])]})
+    with pytest.raises(ValidationError, match="faces, wants"):
+        wrong_count.validate()
+    dangling = SimplicialSet({0: [("p", [])], 1: [("e", [pt, SimplexRef(0, (), "q")])]})
+    with pytest.raises(ValidationError, match="missing cell"):
+        dangling.validate()
     with pytest.raises(ValidationError):
-        SimplicialSet({0: [("p", [])], 1: [("e", [pt])]})  # wrong face count
-    with pytest.raises(ValidationError):
-        SimplicialSet({0: [("p", [])], 1: [("e", [pt, SimplexRef(0, (), "q")])]})
-    with pytest.raises(ValidationError):
-        SimplicialSet({0: [("p", []), ("p", [])]})  # duplicate id
+        SimplicialSet({0: [("p", []), ("p", [])]})  # duplicate id, refused while building
+
+
+def mismatched_triangle():
+    """A triangle whose faces parse but violate the d_i d_j relations."""
+    v = [SimplexRef(0, (), str(i)) for i in range(3)]
+    e01 = SimplexRef(1, (), "e01")
+    e12 = SimplexRef(1, (), "e12")
+    return SimplicialSet(
+        {
+            0: [(str(i), []) for i in range(3)],
+            1: [("e01", [v[1], v[0]]), ("e02", [v[2], v[0]]), ("e12", [v[2], v[1]])],
+            # face 1 should be e02 but claims e01: vertices disagree
+            2: [("t", [e12, e01, e01])],
+        }
+    )
 
 
 def test_validation_checks_simplicial_identities():
-    # two triangles glued along mismatched edges violate d_i d_j relations
-    v = [SimplexRef(0, (), str(i)) for i in range(3)]
-    e01 = SimplexRef(1, (), "e01")
-    e02 = SimplexRef(1, (), "e02")
-    e12 = SimplexRef(1, (), "e12")
-    with pytest.raises(ValidationError):
-        SimplicialSet(
-            {
-                0: [(str(i), []) for i in range(3)],
-                1: [("e01", [v[1], v[0]]), ("e02", [v[2], v[0]]), ("e12", [v[2], v[1]])],
-                # face 1 should be e02 but claims e01: vertices disagree
-                2: [("t", [e12, e01, e01])],
-            }
-        )
+    with pytest.raises(ValidationError, match="simplicial identity"):
+        mismatched_triangle().validate()

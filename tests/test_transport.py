@@ -5,6 +5,7 @@ import pytest
 from sslift.corpus import collapse_tower, double_cover
 from sslift.cat import nerve_functor
 from sslift.homology import IntMatrix
+from sslift.lifting import certify_fibration_class
 from sslift.sset import SimplexRef, SimplicialError
 from sslift.transport import transport_homology
 
@@ -75,14 +76,14 @@ def test_cover_edges_transport_by_permutation(cover_setup):
     profiles = {}
     for name in ("a<x", "a<y", "b<x", "b<y"):
         edge = SimplexRef(1, (), name)
-        res = transport_homology(p, edge, profiles=profiles, certify=False)
+        res = transport_homology(p, edge, profiles=profiles)
         assert res.leg_invertible
         assert res.is_iso
         rows = res.matrix(0).to_lists()
         assert sorted(map(tuple, rows)) == [(0, 1), (1, 0)]
         assert_matrix_matches_chase(res, profiles, cover, name)
     direct = transport_homology(
-        p, SimplexRef(1, (), "a<x"), profiles=profiles, certify=False
+        p, SimplexRef(1, (), "a<x"), profiles=profiles
     )
     assert direct.matrix(0) == IntMatrix.identity(2)
 
@@ -97,7 +98,6 @@ def test_monodromy_around_the_square_swaps_sheets(cover_setup):
             SimplexRef(1, (), name),
             backward=backward,
             profiles=profiles,
-            certify=False,
         )
         assert res.leg_invertible and res.is_iso
         return res.matrix(0)
@@ -115,7 +115,7 @@ def test_monodromy_around_the_square_swaps_sheets(cover_setup):
 
 def test_degenerate_edge_transports_identically(cover_setup):
     _, p = cover_setup
-    res = transport_homology(p, SimplexRef(1, (0,), "a"), certify=False)
+    res = transport_homology(p, SimplexRef(1, (0,), "a"))
     assert res.is_iso
     assert res.matrix(0) == IntMatrix.identity(2)
 
@@ -124,8 +124,8 @@ def test_backward_undoes_forward(cover_setup):
     _, p = cover_setup
     profiles = {}
     edge = SimplexRef(1, (), "b<y")
-    fwd = transport_homology(p, edge, profiles=profiles, certify=False)
-    bwd = transport_homology(p, edge, backward=True, profiles=profiles, certify=False)
+    fwd = transport_homology(p, edge, profiles=profiles)
+    bwd = transport_homology(p, edge, backward=True, profiles=profiles)
     assert (bwd.matrix(0) @ fwd.matrix(0)) == IntMatrix.identity(2)
     assert (fwd.matrix(0) @ bwd.matrix(0)) == IntMatrix.identity(2)
 
@@ -135,7 +135,7 @@ def test_tower_transport_composes_but_collapses(tower_map):
 
     def along(name):
         return transport_homology(
-            tower_map, SimplexRef(1, (), name), profiles=profiles, certify=False
+            tower_map, SimplexRef(1, (), name), profiles=profiles
         )
 
     t01, t12, t02 = along("0<1"), along("1<2"), along("0<2")
@@ -148,11 +148,16 @@ def test_tower_transport_composes_but_collapses(tower_map):
 
 
 def test_certificate_status_is_advisory(tower_map):
-    fwd = transport_homology(tower_map, SimplexRef(1, (), "0<1"))
+    report = certify_fibration_class(tower_map)
+    edge = SimplexRef(1, (), "0<1")
+    assert transport_homology(tower_map, edge).certificate_status is None
+    fwd = transport_homology(tower_map, edge, certificate=report.cocartesian)
     assert fwd.certificate_status == "certified"
     # cartesian lifting fails for the tower, yet the backward matrices
     # still exist because the relevant leg is invertible
-    bwd = transport_homology(tower_map, SimplexRef(1, (), "0<1"), backward=True)
+    bwd = transport_homology(
+        tower_map, edge, backward=True, certificate=report.cartesian
+    )
     assert bwd.certificate_status == "refuted"
     assert bwd.leg_invertible
     assert bwd.matrix(0).to_lists() == [[0, 1], [1, 0]]
@@ -161,10 +166,10 @@ def test_certificate_status_is_advisory(tower_map):
 def test_profile_cache_is_shared(cover_setup):
     _, p = cover_setup
     profiles = {}
-    transport_homology(p, SimplexRef(1, (), "a<x"), profiles=profiles, certify=False)
+    transport_homology(p, SimplexRef(1, (), "a<x"), profiles=profiles)
     assert sorted(v.cell for v in profiles) == ["a", "x"]
     _, prof_a = profiles[SimplexRef(0, (), "a")]
-    transport_homology(p, SimplexRef(1, (), "a<y"), profiles=profiles, certify=False)
+    transport_homology(p, SimplexRef(1, (), "a<y"), profiles=profiles)
     assert sorted(v.cell for v in profiles) == ["a", "x", "y"]
     assert profiles[SimplexRef(0, (), "a")][1] is prof_a
 
@@ -172,4 +177,4 @@ def test_profile_cache_is_shared(cover_setup):
 def test_transport_rejects_non_edges(cover_setup):
     _, p = cover_setup
     with pytest.raises(SimplicialError):
-        transport_homology(p, SimplexRef(0, (), "a"), certify=False)
+        transport_homology(p, SimplexRef(0, (), "a"))

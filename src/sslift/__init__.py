@@ -64,6 +64,7 @@ from .lifting import (
     FibrationClassReport,
     HornProblem,
     LiftObstruction,
+    certify_edge_lifts,
     certify_fibration_class,
     certify_inner_fibration,
     count_horn_lifts,

@@ -20,7 +20,7 @@ from functools import cache
 from .cat import FiniteCategory, Functor, nerve
 from .formats import FormatError, canonical_json, emit_document, load_path
 from .homology import TruncationError, euler_characteristic, homology
-from .lifting import certify_fibration_class
+from .lifting import certify_edge_lifts, certify_fibration_class, certify_inner_fibration
 from .products import restrict_over_simplex
 from .sset import SMap, SimplexRef, SimplicialError, SimplicialSet, ValidationError
 from .theoremb import theorem_b_report
@@ -157,8 +157,8 @@ def _cmd_fibers(args) -> int:
 def _cmd_transport(args) -> int:
     p = _load(args.map, SMap, "map")
     edge = _find_ref(p.target, args.edge, degree=1)
-    report = certify_fibration_class(p)
-    cert = report.cartesian if args.backward else report.cocartesian
+    kind = "cartesian" if args.backward else "cocartesian"
+    cert = certify_edge_lifts(p, kind, certify_inner_fibration(p))
     res = transport_homology(p, edge, backward=args.backward, certificate=cert)
     lines = [
         f"{'backward' if res.backward else 'forward'} transport along {edge}",

@@ -12,6 +12,14 @@ the degree-n simplices of its source by (faces at j != i, image) once,
 in candidate order, and a problem's solutions are the entry under its
 own faces and base.
 
+The engine runs on integer ids: each object numbers its degree-n
+simplices by their position in refs(n), which is candidate order, and
+keeps their faces as tuples of ids, computed from the cells' stored
+faces and the simplicial identities without SimplicialSet.act.
+SimplexRef appears only at the boundary: the public problem and
+solution functions translate ids to refs and back, and certification
+builds a HornProblem only for the witness it reports.
+
 Certificates answer three questions up to a degree cap: are all inner
 horns solvable, does every edge of the target admit a cartesian lift
 with prescribed endpoint, and dually for cocartesian lifts (checked on
@@ -23,7 +31,9 @@ range.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cache
+from itertools import combinations
 
 from . import words as W
 from .products import Product
@@ -104,10 +114,13 @@ def op_problem(problem: HornProblem) -> HornProblem:
 
 # -- lookup tables ------------------------------------------------------------
 #
-# Every table lists simplices in candidate order, so a lookup yields
-# exactly what a scan of refs(n) in that order would keep, in the same
-# order.  Tables are built on first use and kept on the object or map
-# they describe, so they live as long as it does.
+# An id is a position in refs(n).  refs(n) runs through one block per
+# degeneracy word (by length, then word), each holding the cells of that
+# word's cell degree in candidate order, so an id is the block's offset
+# plus the cell's rank.  Every table lists ids in candidate order, so a
+# lookup yields exactly what a scan of refs(n) in that order would keep,
+# in the same order.  Tables are built on first use and kept on the
+# object or map they describe, so they live as long as it does.
 
 
 def _kept(build):
@@ -123,48 +136,141 @@ def _kept(build):
     return table
 
 
+@cache
+def _face_rule(word: tuple[int, ...], n: int, i: int):
+    """d_i s_word at degree n, by the simplicial identities (May, §1).
+
+    Either (None, w): d_i cancels a degeneracy and the face of s_word c
+    is s_w c; or (k, epi): the face is d_k c degenerated by the surjection
+    epi.  Holds for every cell c of degree n - len(word).
+    """
+    mono, epi = W.split(word, n, W.delta_values(i, n))
+    m = n - len(word)
+    if len(mono) == m + 1:
+        return None, W.map_to_word(epi)
+    return W.last_gap(mono, m)[0], epi
+
+
 @_kept
-def _face_table(x: SimplicialSet, degree: int) -> dict[SimplexRef, tuple[SimplexRef, ...]]:
-    """Every degree-n simplex of x with its faces d_0..d_n."""
-    positions = range(degree + 1) if degree > 0 else ()
-    return {r: tuple(x.face(r, j) for j in positions) for r in x.refs(degree)}
+def _cell_ranks(x: SimplicialSet, m: int) -> dict[str, int]:
+    """The degree-m cells of x by their rank in candidate order."""
+    return {c: k for k, c in enumerate(sorted(x.n_cells(m)))}
+
+
+@_kept
+def _blocks(x: SimplicialSet, n: int) -> dict[tuple[int, ...], tuple[int, dict]]:
+    """The degree-n ids of x by block: word -> (offset, ranks of the cells
+    it degenerates), in candidate order."""
+    lengths = range(n + 1) if x.simplicial else (0,)
+    words = [w for k in lengths for w in combinations(range(n - 1, -1, -1), k)]
+    blocks: dict = {}
+    offset = 0
+    for w in sorted(words, key=lambda w: (len(w), w)):
+        ranks = _cell_ranks(x, n - len(w))
+        if ranks:
+            blocks[w] = (offset, ranks)
+            offset += len(ranks)
+    return blocks
+
+
+def _degenerated(x: SimplicialSet, d: int, epi: tuple[int, ...], n: int) -> dict:
+    """Word w of a degree-d block -> offset of the degree-n block that s_w c
+    lands in when degenerated by epi: [n] -> [d]."""
+    blocks = _blocks(x, n)
+    return {w: blocks[W.renormalize(w, d, epi)][0] for w in _blocks(x, d)}
+
+
+def _splitter(x: SimplicialSet, degree: int):
+    """The function taking a ref of x of the given degree to (word, rank
+    of its cell)."""
+    ranks = [_cell_ranks(x, d) for d in range(degree + 1)]
+    return lambda r: (r.word, ranks[degree - len(r.word)][r.cell])
+
+
+@_kept
+def _ids(x: SimplicialSet, n: int) -> dict[SimplexRef, int]:
+    """The id of every degree-n simplex of x: the engine's boundary."""
+    return {r: k for k, r in enumerate(x.refs(n))}
+
+
+@_kept
+def _face_table(x: SimplicialSet, n: int) -> list[tuple[int, ...]]:
+    """The ids of the faces d_0..d_n of every degree-n simplex of x, by id.
+
+    Built from the cells' stored faces and the rule for d_i s_w.
+    """
+    if n == 0:
+        return [()] * len(_cell_ranks(x, 0))
+    below = _blocks(x, n - 1)
+    stored = {}
+    rows = []
+    for w, (_, ranks) in _blocks(x, n).items():
+        m = n - len(w)
+        if m not in stored:
+            split = _splitter(x, m - 1)
+            stored[m] = [[split(f) for f in x.face_tuple(m, c)] for c in ranks]
+        steps = []
+        for i in range(n + 1):
+            k, epi = _face_rule(w, n, i)
+            steps.append((k, below[epi][0] if k is None else _degenerated(x, m - 1, epi, n - 1)))
+        for rank, faces in enumerate(stored[m]):
+            rows.append(tuple([
+                shift + rank if k is None else shift[faces[k][0]] + faces[k][1]
+                for k, shift in steps
+            ]))
+    return rows
 
 
 @_kept
 def _face_index(
     x: SimplicialSet, degree: int, positions: tuple[int, ...]
-) -> dict[tuple, list[SimplexRef]]:
-    """Degree-n simplices of x keyed by their faces at the given positions."""
-    index: dict[tuple, list[SimplexRef]] = {}
-    for r, faces in _face_table(x, degree).items():
-        index.setdefault(tuple(faces[j] for j in positions), []).append(r)
+) -> dict[tuple[int, ...], list[int]]:
+    """Degree-n ids of x keyed by their faces at the given positions."""
+    index: dict[tuple[int, ...], list[int]] = {}
+    for r, faces in enumerate(_face_table(x, degree)):
+        index.setdefault(tuple([faces[j] for j in positions]), []).append(r)
     return index
 
 
 @_kept
-def _last_edge_index(x: SimplicialSet, degree: int) -> dict[SimplexRef, dict]:
-    """Degree-n simplices of x keyed by their last edge, each group a dict
-    used as an ordered set (iteration in candidate order, O(1) `in`)."""
-    index: dict[SimplexRef, dict] = {}
-    for r in x.refs(degree):
-        index.setdefault(x.last_edge(r), {})[r] = None
+def _last_edge_index(x: SimplicialSet, degree: int) -> dict[int, dict[int, None]]:
+    """Degree-n ids of x keyed by their last edge, each group a dict used
+    as an ordered set (iteration in candidate order, O(1) `in`)."""
+    # the last edge {n-1, n} is what n-1 times d_0 leaves
+    tables = [_face_table(x, d) for d in range(degree, 1, -1)]
+    index: dict[int, dict[int, None]] = {}
+    for r in range(len(_face_table(x, degree))):
+        e = r
+        for faces in tables:
+            e = faces[e][0]
+        index.setdefault(e, {})[r] = None
     return index
 
 
 @_kept
-def _images(p: SMap, degree: int) -> dict[SimplexRef, SimplexRef]:
-    """The image under p of every degree-n simplex of its source."""
-    return {r: image_of_ref(p.value(r.cell_degree, r.cell), r) for r in p.source.refs(degree)}
+def _images(p: SMap, n: int) -> list[int]:
+    """The id of p's image of every degree-n id of its source."""
+    x, y = p.source, p.target
+    values = {}
+    out = []
+    for w, (_, ranks) in _blocks(x, n).items():
+        m = n - len(w)
+        if m not in values:
+            split = _splitter(y, m)
+            values[m] = [split(p.value(m, c)) for c in ranks]
+        shift = _degenerated(y, m, W.word_to_map(w, n), n)
+        out.extend(shift[vw] + vr for vw, vr in values[m])
+    return out
 
 
 @_kept
-def _solution_table(p: SMap, n: int, i: int) -> dict[tuple, list[SimplexRef]]:
-    """Degree-n simplices of the source keyed by (faces at j != i, image):
-    each (n, i)-horn problem's key leads to its solutions."""
+def _solution_table(p: SMap, n: int, i: int) -> dict[tuple[int, ...], list[int]]:
+    """Degree-n ids of the source keyed by (faces at j != i, image): each
+    (n, i)-horn problem's key leads to its solutions."""
     images = _images(p, n)
-    table: dict[tuple, list[SimplexRef]] = {}
-    for r, faces in _face_table(p.source, n).items():
-        table.setdefault((faces[:i] + faces[i + 1 :], images[r]), []).append(r)
+    table: dict[tuple[int, ...], list[int]] = {}
+    for r, faces in enumerate(_face_table(p.source, n)):
+        table.setdefault(faces[:i] + faces[i + 1 :] + (images[r],), []).append(r)
     return table
 
 
@@ -179,8 +285,12 @@ def iter_horn_solutions(p: SMap, problem: HornProblem):
     n, i = problem.n, problem.i
     if [j for j, _ in problem.faces] != [j for j in range(n + 1) if j != i]:
         raise SimplicialError("horn problem faces must cover all j != i in order")
-    key = (tuple(r for _, r in problem.faces), problem.base)
-    yield from _solution_table(p, n, i).get(key, ())
+    faces, bases = _ids(p.source, n - 1), _ids(p.target, n)
+    # a ref that is no simplex of the right degree gets no id, and its key no entry
+    key = tuple([faces.get(r) for _, r in problem.faces]) + (bases.get(problem.base),)
+    refs = p.source.refs(n)
+    for r in _solution_table(p, n, i).get(key, ()):
+        yield refs[r]
 
 
 def horn_solutions(p: SMap, problem: HornProblem) -> list[SimplexRef]:
@@ -201,49 +311,85 @@ def count_horn_lifts(p: SMap, problem: HornProblem) -> int:
 
 
 def _face_tuples(
-    x: SimplicialSet, n: int, i: int, position_pool
-) -> list[tuple[tuple[int, SimplexRef], ...]]:
-    """All mutually compatible face tuples for an (n, i)-horn, in order.
+    x: SimplicialSet, n: int, i: int, pool: dict[int, dict] | None
+) -> list[tuple[int, ...]]:
+    """All mutually compatible id face tuples for an (n, i)-horn, in order.
 
-    position_pool(j) may restrict the candidates at position j to an
-    ordered set (a dict in candidate order); tuples are produced
-    lexicographically position by position in candidate order.
+    pool may restrict the candidates at a position to an ordered set of
+    ids (a dict in candidate order); tuples are produced lexicographically
+    position by position in candidate order.
     """
     positions = [j for j in range(n + 1) if j != i]
     faces = _face_table(x, n - 1)
-    # a face at the k-th position is looked up by its faces at the k
-    # positions chosen before it
-    indexes = [_face_index(x, n - 1, tuple(positions[:k])) for k in range(len(positions))]
-    out: list[tuple[tuple[int, SimplexRef], ...]] = []
+    tuples: list[tuple[int, ...]] = [()]
+    for k, pos in enumerate(positions):
+        allowed = pool.get(pos) if pool else None
+        if k == 0:
+            # nothing constrains the first position
+            tuples = [(c,) for c in (range(len(faces)) if allowed is None else allowed)]
+            continue
+        # a face at the k-th position is looked up by its faces at the k
+        # positions chosen before it; matching: d_j c = d_{pos-1} x_j
+        index = _face_index(x, n - 1, tuple(positions[:k]))
+        grown = []
+        for chosen in tuples:
+            fits = index.get(tuple([faces[xj][pos - 1] for xj in chosen]), ())
+            grown.extend([chosen + (c,) for c in fits if allowed is None or c in allowed])
+        tuples = grown
+    return tuples
 
-    def extend(chosen: list[tuple[int, SimplexRef]]):
-        k = len(chosen)
-        if k == len(positions):
-            out.append(tuple(chosen))
-            return
-        pos = positions[k]
-        # matching: d_j c = d_{pos-1} x_j for every chosen x_j
-        fits = indexes[k].get(tuple(faces[xj][pos - 1] for _, xj in chosen), ())
-        pool = position_pool(pos) if position_pool is not None else None
-        if pool is not None:
-            # nothing constrains the first position, so the pool is its list
-            fits = pool if k == 0 else [c for c in fits if c in pool]
-        for cand in fits:
-            chosen.append((pos, cand))
-            extend(chosen)
-            chosen.pop()
 
-    extend([])
-    return out
+def _problems(p: SMap, n: int, i: int, pool: dict[int, dict] | None = None):
+    """All (n, i)-horn problems against p as (face ids, base id), least first."""
+    images = _images(p, n - 1)
+    bases = _face_index(p.target, n, tuple(j for j in range(n + 1) if j != i))
+    for faces in _face_tuples(p.source, n, i, pool):
+        for base in bases.get(tuple(map(images.__getitem__, faces)), ()):
+            yield faces, base
+
+
+def _problem(p: SMap, n: int, i: int, faces: tuple[int, ...], base: int) -> HornProblem:
+    """The HornProblem named by ids."""
+    refs = p.source.refs(n - 1)
+    positions = [j for j in range(n + 1) if j != i]
+    return HornProblem(
+        n, i, tuple((j, refs[c]) for j, c in zip(positions, faces)), p.target.refs(n)[base]
+    )
 
 
 def iter_horn_problems(p: SMap, n: int, i: int, position_pool=None):
-    """All (n, i)-horn problems against p, least first."""
-    images = _images(p, n - 1)
-    bases = _face_index(p.target, n, tuple(j for j in range(n + 1) if j != i))
-    for faces in _face_tuples(p.source, n, i, position_pool):
-        for base in bases.get(tuple(images[xj] for _, xj in faces), ()):
-            yield HornProblem(n, i, faces, base)
+    """All (n, i)-horn problems against p, least first.
+
+    position_pool(j) may restrict the faces at position j to an ordered
+    set of refs (a dict in candidate order), or return None.
+    """
+    pool = None
+    if position_pool is not None:
+        ids = _ids(p.source, n - 1)
+        pool = {}
+        for j in range(n + 1):
+            allowed = position_pool(j) if j != i else None
+            if allowed is not None:
+                pool[j] = {ids[r]: None for r in allowed if r in ids}
+    for faces, base in _problems(p, n, i, pool):
+        yield _problem(p, n, i, faces, base)
+
+
+def _first_unsolved(
+    p: SMap, n: int, i: int, pool: dict[int, dict] | None = None
+) -> tuple[int, HornProblem | None]:
+    """Solve every (n, i)-horn problem against p in order: the number
+    checked, and the first one without a solution (None if all have one).
+    Only that witness is built as a HornProblem."""
+    table = None
+    checked = 0
+    for faces, base in _problems(p, n, i, pool):
+        if table is None:
+            table = _solution_table(p, n, i)
+        checked += 1
+        if faces + (base,) not in table:
+            return checked, _problem(p, n, i, faces, base)
+    return checked, None
 
 
 # -- certificates -------------------------------------------------------------
@@ -340,13 +486,13 @@ def certify_inner_fibration(p: SMap, cap: int | None = None) -> Certificate:
     checked = 0
     for n in range(2, effective + 1):
         for i in range(1, n):
-            for problem in iter_horn_problems(p, n, i):
-                checked += 1
-                if solve_horn_lift(p, problem) is None:
-                    return Certificate(
-                        "inner", "refuted", requested, effective, checked,
-                        witness=problem, conclusive=True, notes=tuple(notes),
-                    )
+            n_checked, witness = _first_unsolved(p, n, i)
+            checked += n_checked
+            if witness is not None:
+                return Certificate(
+                    "inner", "refuted", requested, effective, checked,
+                    witness=witness, conclusive=True, notes=tuple(notes),
+                )
     status = "certified"
     if effective < requested and not conclusive:
         status = "inconclusive"
@@ -373,17 +519,14 @@ def is_cartesian_edge(
     if edge.degree != 1:
         raise SimplicialError("cartesian test wants an edge reference")
     _check_cap(cap)
+    e = _ids(x, 1)[edge]
     checked = 0
     for n in range(2, cap + 1):
-        last = _last_edge_index(x, n - 1).get(edge, {})
-
-        def pool(j: int, last=last, n=n):
-            return last if j <= n - 2 else None
-
-        for problem in iter_horn_problems(p, n, n, pool):
-            checked += 1
-            if solve_horn_lift(p, problem) is None:
-                return False, problem, checked
+        last = _last_edge_index(x, n - 1).get(e, {})
+        n_checked, witness = _first_unsolved(p, n, n, dict.fromkeys(range(n - 1), last))
+        checked += n_checked
+        if witness is not None:
+            return False, witness, checked
     return True, None, checked
 
 
@@ -395,29 +538,28 @@ def is_cocartesian_edge(
     return ok, (op_problem(witness) if witness is not None else None), checked
 
 
-def _certify_edge_lifts(
-    p: SMap, kind: str, inner: Certificate, requested: int, effective: int,
-    notes: list[str],
-) -> Certificate:
+def _certify_edge_lifts(p: SMap, kind: str, inner: Certificate) -> Certificate:
     """Existence of cartesian lifts: for every edge of the target and every
     vertex over its endpoint, some edge over it with that endpoint passes
     the right-horn test."""
     x, y = p.source, p.target
+    requested, effective = inner.requested_cap, inner.effective_cap
     vertex_images = _images(p, 0)
+    # the edges over g ending at c fill the (1, 1)-horn c over g
+    over = _solution_table(p, 1, 1)
+    edges = x.refs(1)
     checked = 0
-    for g in y.refs(1):
-        target_vertex = y.face(g, 0)
-        for c in x.refs(0):
-            if vertex_images[c] != target_vertex:
+    for g, (target_vertex, _) in enumerate(_face_table(y, 1)):
+        for c, image in enumerate(vertex_images):
+            if image != target_vertex:
                 continue
             found = False
-            # the edges over g ending at c fill the (1, 1)-horn c over g
-            for f in iter_horn_solutions(p, HornProblem(1, 1, ((0, c),), g)):
+            for f in over.get((c, g), ()):
                 if effective < 2:
                     # truncation leaves no horn to test the lift against
                     found = True
                     break
-                ok, _, n_checked = is_cartesian_edge(p, f, effective)
+                ok, _, n_checked = is_cartesian_edge(p, edges[f], effective)
                 checked += n_checked
                 if ok:
                     found = True
@@ -425,13 +567,38 @@ def _certify_edge_lifts(
             if not found:
                 return Certificate(
                     kind, "refuted", requested, effective, checked,
-                    witness=(g, c), conclusive=True, notes=tuple(notes),
+                    witness=(y.refs(1)[g], x.refs(0)[c]), conclusive=True,
+                    notes=inner.notes,
                 )
-    status = inner.status
     return Certificate(
-        kind, status, requested, effective, checked,
-        conclusive=inner.conclusive, notes=tuple(notes),
+        kind, inner.status, requested, effective, checked,
+        conclusive=inner.conclusive, notes=inner.notes,
     )
+
+
+def certify_edge_lifts(p: SMap, kind: str, inner: Certificate) -> Certificate:
+    """The "cartesian" or "cocartesian" certificate of p, given its inner one.
+
+    Cartesian lifts are sought with prescribed target vertex; cocartesian
+    lifts with prescribed source vertex, by running the cartesian search
+    on the opposite map and translating witnesses back.  A refuted inner
+    certificate refutes both, with its own witness.
+    """
+    if kind not in ("cartesian", "cocartesian"):
+        raise ValueError(f"no edge-lift certificate of kind {kind!r}")
+    if inner.status == "refuted":
+        return Certificate(
+            kind, "refuted", inner.requested_cap, inner.effective_cap, 0,
+            witness=inner.witness, conclusive=True,
+            notes=("the inner condition is already refuted; see its witness",),
+        )
+    if kind == "cartesian":
+        return _certify_edge_lifts(p, kind, inner)
+    cert = _certify_edge_lifts(_op_map(p), kind, inner)
+    if cert.witness is not None:
+        edge, vertex = cert.witness
+        cert.witness = (op_ref(edge), vertex)
+    return cert
 
 
 @dataclass
@@ -449,39 +616,13 @@ class FibrationClassReport:
 
 
 def certify_fibration_class(p: SMap, cap: int | None = None) -> FibrationClassReport:
-    """Certify or refute inner, cartesian, and cocartesian conditions.
-
-    Cartesian lifts are sought with prescribed target vertex; cocartesian
-    lifts with prescribed source vertex, by running the cartesian search
-    on the opposite map and translating witnesses back.
-    """
+    """Certify or refute inner, cartesian, and cocartesian conditions."""
     inner = certify_inner_fibration(p, cap)
-    requested = inner.requested_cap
-    effective = inner.effective_cap
-    if inner.status == "refuted":
-        def stub(kind: str) -> Certificate:
-            return Certificate(
-                kind, "refuted", requested, effective, 0,
-                witness=inner.witness, conclusive=True,
-                notes=("the inner condition is already refuted; see its witness",),
-            )
-
-        return FibrationClassReport(inner, stub("cartesian"), stub("cocartesian"))
-    notes = list(inner.notes)
-    cartesian = _certify_edge_lifts(p, "cartesian", inner, requested, effective, notes)
-    po = _op_map(p)
-    cocart_raw = _certify_edge_lifts(
-        po, "cocartesian", inner, requested, effective, notes
+    return FibrationClassReport(
+        inner,
+        certify_edge_lifts(p, "cartesian", inner),
+        certify_edge_lifts(p, "cocartesian", inner),
     )
-    witness = cocart_raw.witness
-    if isinstance(witness, tuple):
-        witness = (op_ref(witness[0]), witness[1])
-    cocartesian = Certificate(
-        "cocartesian", cocart_raw.status, requested, effective,
-        cocart_raw.problems_checked, witness=witness,
-        conclusive=cocart_raw.conclusive, notes=cocart_raw.notes,
-    )
-    return FibrationClassReport(inner, cartesian, cocartesian)
 
 
 # -- homotopy lifting ---------------------------------------------------------
@@ -713,7 +854,7 @@ def lift_homotopy(
     # the lift is a search result: check that it is a map, then audit it
     lift.validate()
     for n, cell_id, _ in prism.sset.cell_items():
-        if p.apply(lift.value(n, cell_id)) != homotopy.value(n, cell_id):
+        if p._image(lift.value(n, cell_id)) != homotopy.value(n, cell_id):
             raise SimplicialError("audit failed: the lift does not cover the homotopy")
     for n in region.degrees():
         for c in region.n_cells(n):

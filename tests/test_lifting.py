@@ -1,9 +1,11 @@
 """Horn problems, certificates, cartesian and cocartesian edges."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
+from sslift.formats import load_path
 from sslift.lifting import (
     EDGE_01,
     HornProblem,
@@ -192,3 +194,35 @@ def test_horn_problem_validate_rejects_mismatch():
         bad.validate(p)
     good = HornProblem(2, 1, ((0, s0), (2, s0)), base)
     good.validate(p)
+
+
+def count_built_problems(monkeypatch):
+    """A list that gains one entry per HornProblem constructed."""
+    built = []
+    init = HornProblem.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(HornProblem, "__init__", counting)
+    return built
+
+
+def test_certification_builds_a_problem_only_for_the_witness(monkeypatch, cover_map):
+    built = count_built_problems(monkeypatch)
+    cert = certify_inner_fibration(cover_map)
+    assert cert.certified and cert.problems_checked > 0
+    for c in cover_map.source.n_cells(1):
+        ok, _, checked = is_cartesian_edge(cover_map, SimplexRef(1, (), c), 3)
+        assert ok and checked > 0
+    assert built == []
+
+    refuted = load_path(str(Path(__file__).resolve().parent.parent / "fixtures"
+                            / "boundary_collapse.ssx"))
+    cert = certify_inner_fibration(refuted)
+    assert cert.status == "refuted" and cert.problems_checked > 1
+    assert len(built) == 1
+    ok, problem, checked = is_cartesian_edge(terminal_map(standard_simplex(1)), EDGE_01, 3)
+    assert not ok and checked > 1
+    assert len(built) == 2

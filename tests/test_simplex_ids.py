@@ -1,0 +1,112 @@
+"""The lifting engine's integer simplex ids against the SimplexRef API.
+
+An id is a simplex's position in refs(n).  The engine's face table is
+built from the cells' stored faces and the simplicial identities, and
+its image table from the map's values, without `act` or `apply`; here
+every row is decoded back to refs and compared with `face`, `last_edge`
+and `SMap.apply`, which stay the independent reference.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from sslift import lifting as L
+from sslift.cat import cyclic_group_category, nerve
+from sslift.formats import load_path
+from sslift.products import Product
+from sslift.sset import (
+    SimplexRef,
+    SimplicialSet,
+    opposite,
+    opposite_map,
+    standard_simplex,
+)
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+MAP_FIXTURES = [
+    "boundary_collapse.ssx",
+    "collapse_tower.ssx",
+    "cylinder_proj.ssx",
+    "double_cover.ssx",
+    "edge_into_circle.ssx",
+    "interval_vertex.ssx",
+]
+
+
+def unsorted_cells():
+    """Cells listed out of candidate order ("v10" sorts before "v2")."""
+    v = {c: SimplexRef(0, (), c) for c in ("v2", "v10", "v1")}
+    return SimplicialSet({
+        0: [(c, []) for c in v],
+        1: [("z", [v["v10"], v["v2"]]), ("a", [v["v1"], v["v10"]])],
+    })
+
+
+def semi_simplicial_triangle():
+    cells = {n: [(c, standard_simplex(2).face_tuple(n, c)) for c in standard_simplex(2).n_cells(n)]
+             for n in range(3)}
+    return SimplicialSet(cells, simplicial=False)
+
+
+OBJECTS = {
+    **{f"Z{k}-cap{cap}": (lambda k=k, cap=cap: nerve(cyclic_group_category(k), cap=cap).sset)
+       for k in range(2, 6) for cap in range(2, 5)},
+    "simplex2xsimplex1": lambda: Product(standard_simplex(2), standard_simplex(1)).sset,
+    "op-simplex2xsimplex1": lambda: opposite(Product(standard_simplex(2), standard_simplex(1)).sset),
+    "op-Z3-cap3": lambda: opposite(nerve(cyclic_group_category(3), cap=3).sset),
+    "unsorted": unsorted_cells,
+    "semi-triangle": semi_simplicial_triangle,
+    "semi-loop": lambda: SimplicialSet(
+        {0: [("v", [])], 1: [("e", [SimplexRef(0, (), "v")] * 2)]}, simplicial=False
+    ),
+}
+
+
+def degrees(x):
+    return range(x.dimension + 3)
+
+
+def assert_ids_are_positions(x):
+    for n in degrees(x):
+        refs = x.refs(n)
+        for word, (offset, ranks) in L._blocks(x, n).items():
+            for cell, rank in ranks.items():
+                assert refs[offset + rank] == SimplexRef(n, word, cell)
+        assert L._ids(x, n) == {r: k for k, r in enumerate(refs)}
+
+
+def assert_faces_decode(x):
+    for n in degrees(x):
+        refs, below = x.refs(n), x.refs(n - 1)
+        table = L._face_table(x, n)
+        assert len(table) == len(refs)
+        for r, row in zip(refs, table):
+            assert [below[f] for f in row] == [x.face(r, j) for j in range(n + 1) if n], r
+        if n >= 1:
+            edges = x.refs(1)
+            for e, group in L._last_edge_index(x, n).items():
+                assert all(x.last_edge(refs[r]) == edges[e] for r in group)
+            assert sum(map(len, L._last_edge_index(x, n).values())) == len(refs)
+
+
+@pytest.mark.parametrize("name", sorted(OBJECTS))
+def test_object_tables_match_refs_and_faces(name):
+    x = OBJECTS[name]()
+    assert_ids_are_positions(x)
+    assert_faces_decode(x)
+
+
+@pytest.mark.parametrize("op", [False, True], ids=["map", "opposite"])
+@pytest.mark.parametrize("name", MAP_FIXTURES)
+def test_map_tables_match_apply(name, op):
+    p = load_path(str(FIXTURES / name))
+    if op:
+        p = opposite_map(p)
+    for x in (p.source, p.target):
+        assert_ids_are_positions(x)
+        assert_faces_decode(x)
+    for n in degrees(p.source):
+        targets = p.target.refs(n)
+        images = L._images(p, n)
+        assert [targets[t] for t in images] == [p.apply(r) for r in p.source.refs(n)]

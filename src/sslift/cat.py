@@ -39,6 +39,7 @@ class FiniteCategory:
         self.identities = {str(o): str(m) for o, m in identities.items()}
         self.compose_table = {str(k): str(v) for k, v in compose.items()}
         self._hom_cache: dict[tuple[str, str], list[str]] = {}
+        self._nerves: dict[int | None, Nerve] = {}
 
     def src(self, m: str) -> str:
         return self.morphisms[m][0]
@@ -199,9 +200,6 @@ class Functor:
         self.target = target
         self.object_map = {str(a): str(b) for a, b in object_map.items()}
         self.morphism_map = {str(f): str(g) for f, g in morphism_map.items()}
-
-    def on_object(self, o: str) -> str:
-        return self.object_map[o]
 
     def on_morphism(self, m: str) -> str:
         return self.morphism_map[m]
@@ -664,7 +662,14 @@ class Nerve:
 
 
 def nerve(category: FiniteCategory, cap: int | None = None) -> Nerve:
-    return Nerve(category, cap)
+    """The nerve of a category at a requested cap.
+
+    Nerves are kept on the category, keyed by the requested cap, as
+    hom-sets are, so each pair is built once."""
+    hit = category._nerves.get(cap)
+    if hit is None:
+        hit = category._nerves[cap] = Nerve(category, cap)
+    return hit
 
 
 def nerve_functor(
@@ -675,11 +680,11 @@ def nerve_functor(
     The target nerve is rebuilt with a larger cap if its truncation would
     not contain the image of the source nerve.
     """
-    src = Nerve(f.source, cap)
-    tgt = Nerve(f.target, cap)
+    src = nerve(f.source, cap)
+    tgt = nerve(f.target, cap)
     need = src.sset.dimension
     if tgt.sset.truncated_at is not None and tgt.sset.truncated_at < need:
-        tgt = Nerve(f.target, need)
+        tgt = nerve(f.target, need)
     assignment: dict[int, dict[str, SimplexRef]] = {}
     for n in src.sset.degrees():
         layer = {}
@@ -695,6 +700,30 @@ def nerve_functor(
     return SMap(src.sset, tgt.sset, assignment), src, tgt
 
 
+def _homotopy_value(
+    alpha: NatTrans, chain: tuple[str, ...], vertex: str, levels: tuple[int, ...]
+) -> SimplexRef:
+    """The value of alpha's cylinder homotopy on a simplex of N(C) x Δ^1.
+
+    chain is the arrow chain of the N(C) component (vertex names it when
+    the chain is empty), levels the Δ^1 level of each of its vertices.
+    """
+    f, g = alpha.source, alpha.target
+    d_cat = f.target
+    obj = f.source.src(chain[0]) if chain else vertex
+    start = (g if levels[0] else f).object_map[obj]
+    image = []
+    for m, lo, hi in zip(chain, levels, levels[1:]):
+        if not hi:
+            image.append(f.morphism_map[m])
+        elif lo:
+            image.append(g.morphism_map[m])
+        else:
+            image.append(d_cat.compose_pair(g.morphism_map[m], alpha.components[obj]))
+        obj = f.source.tgt(m)
+    return string_normal_form(d_cat, tuple(image), start)
+
+
 def nat_trans_homotopy(alpha: NatTrans, cap: int | None = None):
     """Materialize a natural transformation as a cylinder map on nerves.
 
@@ -706,39 +735,20 @@ def nat_trans_homotopy(alpha: NatTrans, cap: int | None = None):
     from .sset import standard_simplex
 
     alpha.validate()
-    f, g = alpha.source, alpha.target
-    src_nerve = Nerve(f.source, cap)
+    f = alpha.source
+    src_nerve = nerve(f.source, cap)
     need = src_nerve.sset.dimension + 1
-    tgt_nerve = Nerve(f.target, cap)
+    tgt_nerve = nerve(f.target, cap)
     if tgt_nerve.sset.truncated_at is not None and tgt_nerve.sset.truncated_at < need:
-        tgt_nerve = Nerve(f.target, need)
+        tgt_nerve = nerve(f.target, need)
     prod = Product(src_nerve.sset, standard_simplex(1))
-    d_cat = f.target
     assignment: dict[int, dict[str, SimplexRef]] = {}
     for (n, cell_id), (lref, rref) in prod.components.items():
-        chain = src_nerve.chain_of(lref)
-        levels = [
+        levels = tuple(
             int(prod.right_object.vertex_of(rref, i).cell) for i in range(n + 1)
-        ]
-        objs = [f.source.src(chain[0])] if chain else [lref.cell]
-        for m in chain:
-            objs.append(f.source.tgt(m))
-        if not chain:
-            objs = [lref.cell] * (n + 1)
-        image = []
-        for i in range(1, n + 1):
-            m = chain[i - 1] if chain else f.source.identity_of(objs[i])
-            if levels[i - 1] == 0 and levels[i] == 0:
-                image.append(f.morphism_map[m])
-            elif levels[i - 1] == 1 and levels[i] == 1:
-                image.append(g.morphism_map[m])
-            else:
-                image.append(
-                    d_cat.compose_pair(g.morphism_map[m], alpha.components[objs[i - 1]])
-                )
-        start = f.object_map[objs[0]] if levels[0] == 0 else g.object_map[objs[0]]
-        assignment.setdefault(n, {})[cell_id] = string_normal_form(
-            d_cat, tuple(image), start
+        )
+        assignment.setdefault(n, {})[cell_id] = _homotopy_value(
+            alpha, src_nerve.chain_of(lref), lref.cell, levels
         )
     h = SMap(prod.sset, tgt_nerve.sset, assignment)
     return h, prod, src_nerve, tgt_nerve

@@ -535,9 +535,6 @@ class HomologyProfile:
             return self.groups[k]
         return _trivial_group(k, 0)
 
-    def betti_numbers(self) -> tuple[int, ...]:
-        return tuple(g.betti for g in self.groups)
-
     def invariants(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         return tuple(g.invariants() for g in self.groups)
 
@@ -668,11 +665,6 @@ class InducedHomology:
         if 0 <= k < len(self.matrices):
             return self.matrices[k]
         return IntMatrix(self.target.group(k).gens.cols, self.source.group(k).gens.cols)
-
-    def iso_in_degree(self, k: int) -> bool:
-        if 0 <= k < len(self.iso_flags):
-            return self.iso_flags[k]
-        return self.source.group(k).invariants() == self.target.group(k).invariants()
 
     def to_json(self) -> dict:
         return {

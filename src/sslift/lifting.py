@@ -357,21 +357,9 @@ def _problem(p: SMap, n: int, i: int, faces: tuple[int, ...], base: int) -> Horn
     )
 
 
-def iter_horn_problems(p: SMap, n: int, i: int, position_pool=None):
-    """All (n, i)-horn problems against p, least first.
-
-    position_pool(j) may restrict the faces at position j to an ordered
-    set of refs (a dict in candidate order), or return None.
-    """
-    pool = None
-    if position_pool is not None:
-        ids = _ids(p.source, n - 1)
-        pool = {}
-        for j in range(n + 1):
-            allowed = position_pool(j) if j != i else None
-            if allowed is not None:
-                pool[j] = {ids[r]: None for r in allowed if r in ids}
-    for faces, base in _problems(p, n, i, pool):
+def iter_horn_problems(p: SMap, n: int, i: int):
+    """All (n, i)-horn problems against p, least first."""
+    for faces, base in _problems(p, n, i):
         yield _problem(p, n, i, faces, base)
 
 

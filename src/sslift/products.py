@@ -172,14 +172,6 @@ class Fiber(PairedSSet):
         self.classifier = classifying_map(p.target, simplex)
         super().__init__(self.classifier, p)
 
-    @property
-    def to_simplex(self) -> SMap:
-        return self.to_left
-
-    @property
-    def to_total(self) -> SMap:
-        return self.to_right
-
 
 def restrict_over_simplex(p: SMap, simplex: SimplexRef) -> Fiber:
     return Fiber(p, simplex)

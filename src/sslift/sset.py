@@ -534,12 +534,3 @@ def restrict_map(f: SMap, sub: SimplicialSet) -> SMap:
         n: {c: f.value(n, c) for c in sub.n_cells(n)} for n in sub.degrees()
     }
     return SMap(sub, f.target, assignment)
-
-
-def same_map_on(f: SMap, g: SMap, sub: SimplicialSet) -> bool:
-    """True if f and g agree on every cell of a common source subobject."""
-    for n in sub.degrees():
-        for c in sub.n_cells(n):
-            if f.value(n, c) != g.value(n, c):
-                return False
-    return True

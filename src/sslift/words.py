@@ -52,12 +52,6 @@ def is_monotone(values: tuple[int, ...]) -> bool:
     return all(a <= b for a, b in zip(values, values[1:]))
 
 
-def is_surjection(values: tuple[int, ...], codomain: int) -> bool:
-    if not values or values[0] != 0 or values[-1] != codomain:
-        return False
-    return all(b - a in (0, 1) for a, b in zip(values, values[1:]))
-
-
 def compose(outer: tuple[int, ...], inner: tuple[int, ...]) -> tuple[int, ...]:
     """(outer o inner)(x) = outer[inner[x]]."""
     return tuple(outer[x] for x in inner)
@@ -116,15 +110,6 @@ def sigma_values(i: int, n: int) -> tuple[int, ...]:
     if not 0 <= i <= n:
         raise ValueError(f"sigma index {i} out of range for [{n}]")
     return tuple(j if j <= i else j - 1 for j in range(n + 2))
-
-
-def identity_values(n: int) -> tuple[int, ...]:
-    return tuple(range(n + 1))
-
-
-def op_values(values: tuple[int, ...], codomain: int) -> tuple[int, ...]:
-    """The same map through the order-reversing isomorphisms of both ordinals."""
-    return tuple(codomain - v for v in reversed(values))
 
 
 def word_op(word: tuple[int, ...], degree: int) -> tuple[int, ...]:

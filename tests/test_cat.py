@@ -156,7 +156,7 @@ def test_nerve_functor_is_natural(cover):
     m.validate()
     # vertices go to image objects
     for o in cover.source.objects:
-        assert m.value(0, o) == SimplexRef(0, (), cover.on_object(o))
+        assert m.value(0, o) == SimplexRef(0, (), cover.object_map[o])
 
 
 def test_nerve_functor_respects_composition(c4, cover):

@@ -1,7 +1,8 @@
 """Golden outputs: sha256 digests of the --json reports on the fixtures.
 
 The digests pin the exact bytes (and exit codes) of `fibers`,
-`transport`, `ltg-check`, `theorem-b` and `certify` (on every map
+`transport`, `ltg-check`, `theorem-b` (on the functor fixtures and on
+the identities of chain[3] and chain[4]) and `certify` (on every map
 fixture, at the default cap and at caps 2-4, which fixes witnesses and
 problem counts), so that a change in how the reports are built cannot
 change a byte of what they print.  Replace a
@@ -15,7 +16,9 @@ from pathlib import Path
 
 import pytest
 
+from sslift.cat import chain_poset, identity_functor
 from sslift.cli import main
+from sslift.formats import save_path
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -120,4 +123,23 @@ def test_json_report_matches_golden_digest(argv, code, digest):
     with contextlib.redirect_stdout(out):
         got = main(args)
     assert got == code
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# theorem-b on the identity of the chain poset [n]: the comma nerves
+# (351 and 2,879 cells) are larger than any fixture's
+CHAIN_GOLDEN = [
+    (3, "ac4497523507a3f30ca08e58440ef93512721b98ca6d4d6ba934885d28e10707"),
+    (4, "6b1779ba162e248683f6b83b3519afe86d4002d6ae1608e03a995eca7129cc55"),
+]
+
+
+@pytest.mark.parametrize("n, digest", CHAIN_GOLDEN, ids=[f"chain{n}" for n, _ in CHAIN_GOLDEN])
+def test_theorem_b_on_chain_identity_matches_golden_digest(n, digest, tmp_path):
+    path = tmp_path / f"chain{n}.cat"
+    save_path(str(path), identity_functor(chain_poset(n)))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = main(["--json", "theorem-b", str(path)])
+    assert got == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

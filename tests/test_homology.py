@@ -198,8 +198,8 @@ def test_induced_maps():
     assert ind.is_iso
     # the terminal map kills H_1
     ind2 = induced_homology(terminal_map(s1))
-    assert ind2.iso_in_degree(0)
-    assert not ind2.iso_in_degree(1)
+    assert ind2.iso_flags[0]
+    assert not ind2.iso_flags[1]
 
 
 def test_euler_characteristic():

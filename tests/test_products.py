@@ -94,7 +94,7 @@ def test_fiber_over_edge_of_cover(cover_map):
     assert fib.sset.counts() == (4, 2)
     # two strands, each an edge over the base edge
     tops = fib.sset.n_cells(1)
-    images = sorted(str(fib.to_total.value(1, c)) for c in tops)
+    images = sorted(str(fib.to_right.value(1, c)) for c in tops)
     assert images == ["a0<x0", "a1<x1"]
 
 
@@ -113,8 +113,8 @@ def test_classifying_map_matches_fiber():
     cls = classifying_map(p.target, edge)
     for n in fib.sset.degrees():
         for c in fib.sset.n_cells(n):
-            lhs = p.apply(fib.to_total.value(n, c))
-            rhs = cls.apply(fib.to_simplex.value(n, c))
+            lhs = p.apply(fib.to_right.value(n, c))
+            rhs = cls.apply(fib.to_left.value(n, c))
             assert lhs == rhs
 
 
@@ -129,7 +129,7 @@ def test_pullback_induced_commutes(cover_map):
     leg.validate()
     for c in fib_v.sset.n_cells(0):
         r = leg.value(0, c)
-        assert fib_e.to_total.apply(r) == fib_v.to_total.value(0, c)
+        assert fib_e.to_right.apply(r) == fib_v.to_right.value(0, c)
 
 
 # -- the brute-force reference ----------------------------------------------
@@ -278,7 +278,6 @@ def test_fibers_over_every_simplex_match_the_reference(case):
         for r in p.target.refs(n):
             fib = Fiber(p, r)
             assert_matches(fib, reference_pullback(fib.classifier, p))
-            assert fib.to_simplex is fib.to_left and fib.to_total is fib.to_right
 
 
 def test_pullbacks_of_fixture_cospans_match_the_reference():

@@ -1,9 +1,26 @@
 """Base-change reports for functors between finite categories."""
 
-from sslift.cat import comma_category, identity_functor, nerve
+import random
+from pathlib import Path
+
+import pytest
+
+from sslift import cat, corpus, products, theoremb
+from sslift.cat import (
+    _homotopy_value,
+    chain_poset,
+    comma_category,
+    identity_functor,
+    nat_trans_homotopy,
+    nerve,
+    nerve_functor,
+)
 from sslift.corpus import double_cover, point_functor
+from sslift.formats import load_path
 from sslift.sset import SimplexRef
-from sslift.theoremb import theorem_b_report
+from sslift.theoremb import _comma_unit, theorem_b_report
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def alternating_count(x):
@@ -21,7 +38,7 @@ def test_identity_functor_verified(c4):
     # each fiber matches the slice nerve and is contractible here
     assert r.slice_agreement == {d: True for d in "abxy"}
     assert r.coslice_contractible == {d: True for d in "abxy"}
-    assert all(p.betti_numbers()[0] == 1 for p in r.vertex_fibers.values())
+    assert all(p.groups[0].betti == 1 for p in r.vertex_fibers.values())
     assert r.component_constancy == {"a": True}
     assert r.projection_iso is True
     assert r.homotopy_ends_match is True
@@ -95,3 +112,95 @@ def test_report_json_shape(c4):
     assert flags["b<x"] is False
     assert flags["a<x"] is True
     assert doc["vertex_fibers"]["b"] == []
+
+
+def random_functor(seed):
+    rng = random.Random(seed)
+    while True:
+        c = corpus.random_poset(rng, rng.randint(2, 4), density=0.6)
+        d = corpus.random_poset(rng, rng.randint(2, 3), density=0.6)
+        try:
+            return corpus.random_poset_functor(rng, c, d)
+        except ValueError:
+            continue
+
+
+FUNCTORS = {
+    **{name: (lambda name=name: load_path(str(FIXTURES / name)))
+       for name in ("cover_functor.cat", "collapse_functor.cat", "point_a.cat")},
+    **{f"chain{n}": (lambda n=n: identity_functor(chain_poset(n))) for n in (2, 3)},
+    **{f"random{s}": (lambda s=s: random_functor(s)) for s in range(8)},
+}
+
+
+@pytest.mark.parametrize("name", FUNCTORS)
+def test_direct_ends_match_the_cylinder(name):
+    f = FUNCTORS[name]()
+    comma, to_c, _ = comma_category(f)
+    unit = _comma_unit(f, comma, to_c)
+    h, prism, comma_nerve, _ = nat_trans_homotopy(unit)
+    # the cylinder's cells at a constant level, by (level, degree, cell)
+    from_cylinder = {}
+    for (n, cell_id), (lref, rref) in prism.components.items():
+        levels = {prism.right_object.vertex_of(rref, t).cell for t in range(n + 1)}
+        if len(levels) == 1:
+            assert not lref.word
+            from_cylinder[(int(levels.pop()), n, lref.cell)] = h.value(n, cell_id)
+    direct = {
+        (level, n, c): _homotopy_value(unit, chain, c, (level,) * (n + 1))
+        for (n, c), chain in comma_nerve.chains.items()
+        for level in (0, 1)
+    }
+    assert direct == from_cylinder
+    # and the ends are the retraction and the identity
+    retract_map, _, _ = nerve_functor(unit.source)
+    for (level, n, c), value in direct.items():
+        assert value == (retract_map.value(n, c) if level == 0 else SimplexRef(n, (), c))
+
+
+def count_builds(monkeypatch):
+    """Record the category of every Nerve and the count of Products built from now on."""
+    nerves, prods = [], []
+    real_nerve, real_product = cat.Nerve.__init__, products.Product.__init__
+
+    def counted_nerve(self, category, cap=None):
+        nerves.append(category)
+        real_nerve(self, category, cap)
+
+    def counted_product(self, left, right):
+        prods.append((left, right))
+        real_product(self, left, right)
+
+    monkeypatch.setattr(cat.Nerve, "__init__", counted_nerve)
+    monkeypatch.setattr(products.Product, "__init__", counted_product)
+    return nerves, prods
+
+
+@pytest.mark.parametrize("name", ["cover_functor.cat", "chain3"])
+def test_report_builds_the_comma_nerve_once_and_no_product(monkeypatch, name):
+    f = FUNCTORS[name]()
+    nerves, prods = count_builds(monkeypatch)
+    for _ in range(2):
+        nerves.clear()
+        r = theorem_b_report(f)
+        assert r.status == "verified" and r.homotopy_ends_match is True
+        commas = [c for c in nerves if hasattr(c, "comma_objects")]
+        assert len(commas) == 1
+        assert prods == []
+
+
+def test_end_comparison_is_live(monkeypatch, c4):
+    real = theoremb._homotopy_value
+
+    def level_zero_reads_level_one(alpha, chain, vertex, levels):
+        if not any(levels):
+            levels = (1,) * len(levels)
+        return real(alpha, chain, vertex, levels)
+
+    monkeypatch.setattr(theoremb, "_homotopy_value", level_zero_reads_level_one)
+    r = theorem_b_report(identity_functor(c4))
+    assert r.homotopy_ends_match is False
+    assert r.status == "conclusion-failed"
+    doc = r.to_json()
+    assert doc["homotopy_ends_match"] is False
+    assert doc["status"] == "conclusion-failed"

@@ -34,7 +34,7 @@ def fiber_objects(fib):
     """Degree-0 fiber cells in chain order, named by their image objects."""
     out = []
     for c in fib.sset.n_cells(0):
-        out.append(fib.to_total.apply(SimplexRef(0, (), c)).cell)
+        out.append(fib.to_right.apply(SimplexRef(0, (), c)).cell)
     return out
 
 

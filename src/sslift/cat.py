@@ -39,6 +39,8 @@ class FiniteCategory:
         self.identities = {str(o): str(m) for o, m in identities.items()}
         self.compose_table = {str(k): str(v) for k, v in compose.items()}
         self._hom_cache: dict[tuple[str, str], list[str]] = {}
+        self._from_cache: dict[str, list[str]] = {}
+        self._to_cache: dict[str, list[str]] = {}
         self._nerves: dict[int | None, Nerve] = {}
 
     def src(self, m: str) -> str:
@@ -69,10 +71,18 @@ class FiniteCategory:
         return hit
 
     def arrows_from(self, a: str) -> list[str]:
-        return sorted(m for m, (s, _) in self.morphisms.items() if s == a)
+        hit = self._from_cache.get(a)
+        if hit is None:
+            hit = sorted(m for m, (s, _) in self.morphisms.items() if s == a)
+            self._from_cache[a] = hit
+        return hit
 
     def arrows_to(self, b: str) -> list[str]:
-        return sorted(m for m, (_, t) in self.morphisms.items() if t == b)
+        hit = self._to_cache.get(b)
+        if hit is None:
+            hit = sorted(m for m, (_, t) in self.morphisms.items() if t == b)
+            self._to_cache[b] = hit
+        return hit
 
     def non_identities(self) -> list[str]:
         return sorted(m for m in self.morphisms if not self.is_identity(m))

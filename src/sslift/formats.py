@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from json.encoder import encode_basestring
 
 from . import words as W
 from .cat import FiniteCategory, Functor
@@ -49,7 +50,88 @@ class FormatError(Exception):
 
 
 def canonical_json(payload) -> str:
-    return json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    """The bytes of json.dumps(payload, ensure_ascii=False, sort_keys=True,
+    indent=2) plus one newline, emitted in one pass into a list."""
+    out: list[str] = []
+    _emit(payload, "\n", out.append)
+    out.append("\n")
+    return "".join(out)
+
+
+def _emit(value, newline: str, put) -> None:
+    """Append value's JSON text; newline is the line break and indent of
+    its own level.  Bools are tested before ints, as json does; the
+    other branches are disjoint, so containers come first."""
+    if isinstance(value, str):
+        put(encode_basestring(value))
+    elif isinstance(value, dict):
+        if not value:
+            put("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key, item in sorted(value.items()):
+            put(sep)
+            put(encode_basestring(_key_text(key)))
+            put(": ")
+            if type(item) is str:
+                put(encode_basestring(item))
+            else:
+                _emit(item, inner, put)
+            sep = "," + inner
+        put(newline + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            put("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            put(sep)
+            if type(item) is str:
+                put(encode_basestring(item))
+            else:
+                _emit(item, inner, put)
+            sep = "," + inner
+        put(newline + "]")
+    elif value is None:
+        put("null")
+    elif value is True:
+        put("true")
+    elif value is False:
+        put("false")
+    elif isinstance(value, int):
+        put(int.__repr__(value))
+    elif isinstance(value, float):
+        put(_float_text(value))
+    else:
+        raise TypeError(f"Object of type {value.__class__.__name__} is not JSON serializable")
+
+
+def _key_text(key) -> str:
+    if isinstance(key, str):
+        return key
+    if isinstance(key, float):
+        return _float_text(key)
+    if key is True:
+        return "true"
+    if key is False:
+        return "false"
+    if key is None:
+        return "null"
+    if isinstance(key, int):
+        return int.__repr__(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, not {key.__class__.__name__}")
+
+
+def _float_text(x: float) -> str:
+    if x != x:
+        return "NaN"
+    if x == float("inf"):
+        return "Infinity"
+    if x == -float("inf"):
+        return "-Infinity"
+    return float.__repr__(x)
 
 
 def content_digest(payload) -> str:

@@ -32,7 +32,6 @@ range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 from itertools import combinations
 
 from . import words as W
@@ -136,21 +135,6 @@ def _kept(build):
     return table
 
 
-@cache
-def _face_rule(word: tuple[int, ...], n: int, i: int):
-    """d_i s_word at degree n, by the simplicial identities (May, §1).
-
-    Either (None, w): d_i cancels a degeneracy and the face of s_word c
-    is s_w c; or (k, epi): the face is d_k c degenerated by the surjection
-    epi.  Holds for every cell c of degree n - len(word).
-    """
-    mono, epi = W.split(word, n, W.delta_values(i, n))
-    m = n - len(word)
-    if len(mono) == m + 1:
-        return None, W.map_to_word(epi)
-    return W.last_gap(mono, m)[0], epi
-
-
 @_kept
 def _cell_ranks(x: SimplicialSet, m: int) -> dict[str, int]:
     """The degree-m cells of x by their rank in candidate order."""
@@ -211,7 +195,7 @@ def _face_table(x: SimplicialSet, n: int) -> list[tuple[int, ...]]:
             stored[m] = [[split(f) for f in x.face_tuple(m, c)] for c in ranks]
         steps = []
         for i in range(n + 1):
-            k, epi = _face_rule(w, n, i)
+            k, epi = W.face_rule(w, n, i)
             steps.append((k, below[epi][0] if k is None else _degenerated(x, m - 1, epi, n - 1)))
         for rank, faces in enumerate(stored[m]):
             rows.append(tuple([
@@ -833,7 +817,7 @@ def lift_homotopy(
                 values[(m + 1, pk.cell)] = tau
                 wall = prism.sset.face(top_ref, k)
                 assert not wall.word  # the open face of each piece is nondegenerate
-                values[(m, wall.cell)] = x.act(tau, W.delta_values(k, m + 1))
+                values[(m, wall.cell)] = x.face(tau, k)
 
     assignment: dict[int, dict[str, SimplexRef]] = {}
     for (n, cell_id), r in values.items():

@@ -124,9 +124,8 @@ class PairedSSet:
                 for i in range(n + 1):
                     if n == 0:
                         break
-                    delta = W.delta_values(i, n)
-                    u = left_object.act(lref, delta)
-                    v = right_object.act(rref, delta)
+                    u = left_object.face(lref, i)
+                    v = right_object.face(rref, i)
                     common, nu, nv = joint_normal_form(u, v)
                     faces.append(SimplexRef(n - 1, common, self._ids[(nu, nv)]))
                 layer.append((cell_id, faces))

@@ -155,9 +155,21 @@ class SimplicialSet:
         return self.act(self.face_tuple(degree, cell_id)[missing], lowered)
 
     def face(self, r: SimplexRef, i: int) -> SimplexRef:
+        """d_i r, by one step of the rule for d_i s_w (words.face_rule)."""
         if r.degree < 1:
             raise SimplicialError("degree 0 simplices have no faces")
-        return self.act(r, W.delta_values(i, r.degree))
+        cell = r.cell
+        try:
+            k, word = W.face_rule(r.word, r.degree, i)
+            if k is not None:
+                f = self.face_tuple(r.cell_degree, cell)[k]
+                cell = f.cell
+                word = W.renormalize(f.word, f.degree, word)
+        except ValueError as exc:
+            raise SimplicialError(str(exc)) from None
+        if word and not self.simplicial:
+            raise SimplicialError("degenerate simplex in a semi-simplicial set")
+        return SimplexRef(r.degree - 1, word, cell)
 
     def degenerate(self, r: SimplexRef, i: int) -> SimplexRef:
         if not self.simplicial:
@@ -213,49 +225,83 @@ class SimplicialSet:
 
     def validate(self) -> None:
         """Check the face data and the simplicial identities."""
-        for n, cell_id, faces in self.cell_items():
+        for n in self.degrees():
             if n == 0:
-                if faces:
-                    raise ValidationError(f"vertex {cell_id!r} must have no faces")
+                for cell_id, faces in self._faces[0].items():
+                    if faces:
+                        raise ValidationError(f"vertex {cell_id!r} must have no faces")
                 continue
-            if len(faces) != n + 1:
+            # valid words of degree n - 1 -> the cells they may degenerate,
+            # filled as each word passes the full check once; a face the
+            # lookup misses, or whose numbers only compare equal to ints
+            # (1.0, True), gets the full check and its message
+            cells_of = {(): self._faces[n - 1]}
+            for cell_id in self._order[n]:
+                faces = self._faces[n][cell_id]
+                if len(faces) != n + 1:
+                    raise ValidationError(
+                        f"cell {cell_id!r} of degree {n} has {len(faces)} faces, wants {n + 1}"
+                    )
+                for i, f in enumerate(faces):
+                    try:
+                        if (
+                            type(f) is SimplexRef
+                            and type(f.degree) is int
+                            and f.degree == n - 1
+                            and f.cell in cells_of.get(f.word, ())
+                            and (not f.word or all(type(v) is int for v in f.word))
+                        ):
+                            continue
+                    except TypeError:  # an unhashable word
+                        pass
+                    self._check_face(n, cell_id, i, f)
+                    cells_of[f.word] = self._faces[n - 1 - len(f.word)]
+        # simplicial identities d_i d_j = d_{j-1} d_i for i < j, on rows of
+        # faces: a cell's faces, each given by its own faces d_0..d_{n-1}
+        for n in range(2, self.dimension + 1):
+            below = self._faces[n - 1]
+            degenerate: dict[SimplexRef, tuple[SimplexRef, ...]] = {}
+            for cell_id in self._order[n]:
+                rows = []
+                for f in self._faces[n][cell_id]:
+                    if not f.word:
+                        rows.append(below[f.cell])
+                        continue
+                    row = degenerate.get(f)
+                    if row is None:
+                        row = degenerate[f] = tuple([self.face(f, i) for i in range(n)])
+                    rows.append(row)
+                for j in range(1, n + 1):
+                    dj = rows[j]
+                    for i in range(j):
+                        if dj[i] != rows[i][j - 1]:
+                            raise ValidationError(
+                                f"simplicial identity fails on {cell_id!r} at (i,j)=({i},{j})"
+                            )
+
+    def _check_face(self, n: int, cell_id: str, i: int, f) -> None:
+        """The full check of face i of a degree-n cell, one message per fault."""
+        if not isinstance(f, SimplexRef):
+            raise ValidationError(f"face {i} of {cell_id!r} is not a SimplexRef")
+        if f.degree != n - 1:
+            raise ValidationError(
+                f"face {i} of {cell_id!r} has degree {f.degree}, wants {n - 1}"
+            )
+        if not W.is_word(f.word):
+            raise ValidationError(f"face {i} of {cell_id!r}: bad word {f.word}")
+        if f.word:
+            if not self.simplicial:
                 raise ValidationError(
-                    f"cell {cell_id!r} of degree {n} has {len(faces)} faces, wants {n + 1}"
+                    f"face {i} of {cell_id!r} is degenerate in a semi-simplicial set"
                 )
-            for i, f in enumerate(faces):
-                if not isinstance(f, SimplexRef):
-                    raise ValidationError(f"face {i} of {cell_id!r} is not a SimplexRef")
-                if f.degree != n - 1:
-                    raise ValidationError(
-                        f"face {i} of {cell_id!r} has degree {f.degree}, wants {n - 1}"
-                    )
-                if not W.is_word(f.word):
-                    raise ValidationError(f"face {i} of {cell_id!r}: bad word {f.word}")
-                if f.word:
-                    if not self.simplicial:
-                        raise ValidationError(
-                            f"face {i} of {cell_id!r} is degenerate in a semi-simplicial set"
-                        )
-                    if f.word[0] > n - 2:
-                        raise ValidationError(
-                            f"face {i} of {cell_id!r}: word {f.word} out of range"
-                        )
-                if not self.has_cell(f.cell_degree, f.cell):
-                    raise ValidationError(
-                        f"face {i} of {cell_id!r} targets missing cell {f.cell!r}"
-                    )
-        # simplicial identities d_i d_j = d_{j-1} d_i for i < j
-        for n, cell_id, _ in self.cell_items():
-            if n < 2:
-                continue
-            top = SimplexRef(n, (), cell_id)
-            for j in range(1, n + 1):
-                dj = self.face(top, j)
-                for i in range(j):
-                    if self.face(dj, i) != self.face(self.face(top, i), j - 1):
-                        raise ValidationError(
-                            f"simplicial identity fails on {cell_id!r} at (i,j)=({i},{j})"
-                        )
+            if f.word[0] > n - 2:
+                raise ValidationError(
+                    f"face {i} of {cell_id!r}: word {f.word} out of range"
+                )
+        if not self.has_cell(f.cell_degree, f.cell):
+            raise ValidationError(
+                f"face {i} of {cell_id!r} targets missing cell {f.cell!r}"
+            )
 
     # -- comparisons ------------------------------------------------------
 

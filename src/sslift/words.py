@@ -12,10 +12,10 @@ them into surjection and injection parts.
 The arithmetic a simplicial set repeats for every simplex depends only
 on words and ordinals, never on the object: the split of a degenerate
 simplex composed with a map, the re-normalized word, the step that
-restricts a cell to one of its faces, and the face injections.  Those
-functions are memoized for the whole process.  Their keys range over
-words and monotone maps of bounded degree, and every result is an
-immutable tuple.
+restricts a cell to one of its faces, and the rule for the faces of a
+degenerate simplex.  Those functions are memoized for the whole process.
+Their keys range over words and monotone maps of bounded degree, and
+every result is an immutable tuple.
 """
 
 from __future__ import annotations
@@ -98,6 +98,20 @@ def last_gap(mono: tuple[int, ...], degree: int) -> tuple[int, tuple[int, ...]]:
 
 
 @cache
+def face_rule(word: tuple[int, ...], n: int, i: int):
+    """d_i s_word at degree n, by the simplicial identities (May, §1).
+
+    Either (None, w): d_i cancels a degeneracy and the face of s_word c
+    is s_w c; or (k, epi): the face is d_k c degenerated by the surjection
+    epi.  Holds for every cell c of degree n - len(word).
+    """
+    mono, epi = split(word, n, delta_values(i, n))
+    m = n - len(word)
+    if len(mono) == m + 1:
+        return None, map_to_word(epi)
+    return last_gap(mono, m)[0], epi
+
+
 def delta_values(i: int, n: int) -> tuple[int, ...]:
     """Injection [n-1] -> [n] skipping the value i."""
     if not 0 <= i <= n:

@@ -3,8 +3,9 @@
 An id is a simplex's position in refs(n).  The engine's face table is
 built from the cells' stored faces and the simplicial identities, and
 its image table from the map's values, without `act` or `apply`; here
-every row is decoded back to refs and compared with `face`, `last_edge`
-and `SMap.apply`, which stay the independent reference.
+every row is decoded back to refs and compared with `act`, `last_edge`
+and `SMap.apply`, which stay the independent reference (`face` now
+shares the table's rule for d_i s_w, so it is no reference).
 """
 
 from pathlib import Path
@@ -12,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from sslift import lifting as L
+from sslift import words as W
 from sslift.cat import cyclic_group_category, nerve
 from sslift.formats import load_path
 from sslift.products import Product
@@ -82,7 +84,9 @@ def assert_faces_decode(x):
         table = L._face_table(x, n)
         assert len(table) == len(refs)
         for r, row in zip(refs, table):
-            assert [below[f] for f in row] == [x.face(r, j) for j in range(n + 1) if n], r
+            assert [below[f] for f in row] == [
+                x.act(r, W.delta_values(j, n)) for j in range(n + 1) if n
+            ], r
         if n >= 1:
             edges = x.refs(1)
             for e, group in L._last_edge_index(x, n).items():

@@ -84,10 +84,8 @@ from .products import (
     Fiber,
     PairedSSet,
     Product,
-    Pullback,
     pair_map,
     pullback_induced,
-    restrict_over_simplex,
     vertex_inclusion_map,
 )
 from .sset import (

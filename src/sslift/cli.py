@@ -17,11 +17,12 @@ import os
 import sys
 from functools import cache
 
+from . import words as W
 from .cat import FiniteCategory, Functor, nerve
 from .formats import FormatError, canonical_json, emit_document, load_path
 from .homology import TruncationError, euler_characteristic, homology
 from .lifting import certify_edge_lifts, certify_fibration_class, certify_inner_fibration
-from .products import restrict_over_simplex
+from .products import Fiber
 from .sset import SMap, SimplexRef, SimplicialError, SimplicialSet, ValidationError
 from .theoremb import theorem_b_report
 from .transport import transport_homology
@@ -71,11 +72,9 @@ def _find_ref(x: SimplicialSet, text: str, degree: int | None = None) -> Simplex
         entry = None
     if isinstance(entry, list) and len(entry) == 2 and all(isinstance(s, str) for s in entry):
         try:
-            word = tuple(int(t) for t in entry[0].split(",")) if entry[0] else ()
-        except ValueError:
-            raise InputProblem(
-                f"{text!r}: the degeneracy word must be comma-separated integers"
-            ) from None
+            word = W.parse_word(entry[0])
+        except ValueError as exc:
+            raise InputProblem(f"{text!r}: {exc}") from None
         cell = entry[1]
     hits = [n for n in range(x.dimension + 1) if cell in x._faces[n]]
     if not hits:
@@ -131,7 +130,7 @@ def _cmd_fibers(args) -> int:
     p = _load(args.map, SMap, "map")
     if args.simplex is not None:
         ref = _find_ref(p.target, args.simplex)
-        fib = restrict_over_simplex(p, ref)
+        fib = Fiber(p, ref)
         prof = homology(fib.sset)
         payload = {
             "simplex": ref.to_json(),

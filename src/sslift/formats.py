@@ -159,7 +159,8 @@ def _parse_ref(entry, degree: int, path: str) -> SimplexRef:
     if (
         not isinstance(entry, list)
         or len(entry) != 2
-        or not all(isinstance(p, str) for p in entry)
+        or not isinstance(entry[0], str)
+        or not isinstance(entry[1], str)
     ):
         raise FormatError(path, "expected a [word, cell] pair of strings")
     try:

@@ -676,11 +676,7 @@ def start_map(
                 # a cell over a designated vertex: push the pinned edge
                 # through the interval coordinate
                 e = designated[lref.cell]
-                if rref.cell_degree == 0:
-                    value = x.act(x.face(e, 0), tuple([0] * (n + 1)))
-                else:
-                    phi = W.word_to_map(rref.word, n)
-                    value = x.act(e, phi)
+                value = image_of_ref(x.face(e, 0) if rref.cell_degree == 0 else e, rref)
             assignment.setdefault(n, {})[c] = value
     return SMap(region, x, assignment), j_sub
 

@@ -37,17 +37,11 @@ def joint_normal_form(
     common = tuple(sorted(set(left.word) & set(right.word), reverse=True))
     if not common:
         return (), left, right
-    sig = W.word_to_map(common, n)
+    # the section of s_common taking the least point of each class it collapses
+    sec = tuple(v for v in range(n + 1) if v - 1 not in common)
     m = n - len(common)
-    section: list[int] = [-1] * (m + 1)
-    for i, v in enumerate(sig):
-        if section[v] < 0:
-            section[v] = i
-    sec = tuple(section)
-    psi_l = W.word_to_map(left.word, n)
-    psi_r = W.word_to_map(right.word, n)
-    new_l = SimplexRef(m, W.map_to_word(W.compose(psi_l, sec)), left.cell)
-    new_r = SimplexRef(m, W.map_to_word(W.compose(psi_r, sec)), right.cell)
+    new_l = SimplexRef(m, W.renormalize(left.word, n, sec), left.cell)
+    new_r = SimplexRef(m, W.renormalize(right.word, n, sec), right.cell)
     if set(new_l.word) & set(new_r.word):
         raise SimplicialError("joint normalization failed to separate words")
     return common, new_l, new_r
@@ -153,9 +147,6 @@ class PairedSSet:
         return SimplexRef(left.degree, common, cell_id)
 
 
-Pullback = PairedSSet
-
-
 class Product(PairedSSet):
     """The product of two simplicial sets: their pullback over a point."""
 
@@ -170,10 +161,6 @@ class Fiber(PairedSSet):
         self.base_ref = simplex
         self.classifier = classifying_map(p.target, simplex)
         super().__init__(self.classifier, p)
-
-
-def restrict_over_simplex(p: SMap, simplex: SimplexRef) -> Fiber:
-    return Fiber(p, simplex)
 
 
 def pair_map(target: PairedSSet, f: SMap, g: SMap) -> SMap:

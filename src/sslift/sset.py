@@ -4,10 +4,13 @@ Objects are presented by their nondegenerate cells only.  Every cell of
 degree n >= 1 stores an ordered list of n+1 faces, each a SimplexRef: a
 degeneracy word in normal form together with the identifier of a
 nondegenerate cell of lower degree.  Arbitrary simplices (degenerate ones
-included) are SimplexRefs, and the action of any monotone ordinal map on
-a simplex is computed by composing the ref's surjection with the map and
-splitting the result into an injection (resolved through stored faces)
-followed by a surjection (the new word).
+included) are SimplexRefs.  A face d_i r is one step of the rule for
+d_i s_w (words.face_rule): either a shorter word on the same cell, or a
+stored face of the cell with its word renormalized.  The action of any
+monotone ordinal map phi on r splits s_w o phi into an injection and a
+surjection (words.split); the cell is restricted along the injection by
+one face step for each value it misses, and the surjection renormalizes
+the word of the result (words.renormalize).
 
 The semi-simplicial flag forbids degeneracy words everywhere; such
 objects only support face structure and are accepted by the homology
@@ -83,7 +86,6 @@ class SimplicialSet:
                     raise ValidationError(f"duplicate cell id {cell_id!r} in degree {n}")
                 self._order[n].append(cell_id)
                 self._faces[n][cell_id] = tuple(faces)
-        self._act_cache: dict = {}
         self._ref_cache: dict[int, list[SimplexRef]] = {}
         self._lift_tables: dict = {}  # the lifting engine's lookup tables
         self._op_cache: SimplicialSet | None = None
@@ -131,28 +133,20 @@ class SimplicialSet:
 
     def act(self, r: SimplexRef, phi: tuple[int, ...]) -> SimplexRef:
         """The simplex r o phi for a monotone map phi: [m] -> [r.degree]."""
-        key = (r, phi)
-        hit = self._act_cache.get(key)
-        if hit is not None:
-            return hit
         try:
             mono, epi = W.split(r.word, r.degree, phi)
         except ValueError as exc:
             raise SimplicialError(str(exc)) from None
-        base = self._restrict_cell(r.cell_degree, r.cell, mono)
+        # restrict the cell along mono, one face per value it misses,
+        # largest first, so that no step shifts the values still to drop
+        base = SimplexRef(r.cell_degree, (), r.cell)
+        for k in range(r.cell_degree, -1, -1):
+            if k not in mono:
+                base = self.face(base, k)
         word = W.renormalize(base.word, base.degree, epi)
         if word and not self.simplicial:
             raise SimplicialError("degenerate simplex in a semi-simplicial set")
-        out = SimplexRef(len(phi) - 1, word, base.cell)
-        self._act_cache[key] = out
-        return out
-
-    def _restrict_cell(self, degree: int, cell_id: str, mono: tuple[int, ...]) -> SimplexRef:
-        """Restrict a nondegenerate cell along an injection given by its image tuple."""
-        if len(mono) == degree + 1:
-            return SimplexRef(degree, (), cell_id)
-        missing, lowered = W.last_gap(mono, degree)
-        return self.act(self.face_tuple(degree, cell_id)[missing], lowered)
+        return SimplexRef(len(phi) - 1, word, base.cell)
 
     def face(self, r: SimplexRef, i: int) -> SimplexRef:
         """d_i r, by one step of the rule for d_i s_w (words.face_rule)."""
@@ -438,9 +432,8 @@ def image_of_ref(value: SimplexRef, r: SimplexRef) -> SimplexRef:
     nondegenerate cell of r to value."""
     if not r.word:
         return value
-    outer = W.word_to_map(value.word, value.degree)
-    inner = W.word_to_map(r.word, r.degree)
-    return SimplexRef(r.degree, W.map_to_word(W.compose(outer, inner)), value.cell)
+    word = W.renormalize(value.word, value.degree, W.word_to_map(r.word, r.degree))
+    return SimplexRef(r.degree, word, value.cell)
 
 
 class SMap:

@@ -38,7 +38,7 @@ from .cat import (
 )
 from .homology import HomologyProfile, homology, induced_homology
 from .lifting import FibrationClassReport, certify_fibration_class
-from .products import restrict_over_simplex
+from .products import Fiber
 from .sset import SimplexRef
 from .transport import TransportResult, fiber_summary, transport_homology, vertex_fiber
 
@@ -166,7 +166,7 @@ def theorem_b_report(f: Functor, cap: int | None = None) -> TheoremBReport:
             slice_agreement[d] = vertex_fibers[d].same_invariants(slice_prof)
         pmap, _, n_c = nerve_functor(to_c, cap)
         for c in sorted(f.source.objects):
-            fib = restrict_over_simplex(pmap, SimplexRef(0, (), c))
+            fib = Fiber(pmap, SimplexRef(0, (), c))
             coslice_contractible[c] = _contractible(homology(fib.sset))
         component_constancy, chi = fiber_summary(q, profiles)
         projection_iso = induced_homology(pmap).is_iso

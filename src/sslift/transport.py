@@ -35,7 +35,7 @@ from .homology import (
     is_group_iso,
     pi0,
 )
-from .products import Fiber, pullback_induced, restrict_over_simplex, vertex_inclusion_map
+from .products import Fiber, pullback_induced, vertex_inclusion_map
 from .sset import SMap, SimplexRef, SimplicialError, identity_map
 
 
@@ -126,7 +126,7 @@ def vertex_fiber(
     added to the profiles cache when one is given."""
     if profiles is not None and v in profiles:
         return profiles[v]
-    fib = restrict_over_simplex(p, v)
+    fib = Fiber(p, v)
     pair = (fib, homology(fib.sset))
     if profiles is not None:
         profiles[v] = pair
@@ -139,12 +139,12 @@ def vertex_legs(
     """Homology of the fiber over sigma, and the maps induced on homology
     by the inclusions of the fibers over its first and last vertices."""
     n = sigma.degree
-    fib = restrict_over_simplex(p, sigma)
+    fib = Fiber(p, sigma)
     prof = homology(fib.sset)
     idx = identity_map(p.source)
     legs = []
     for pos in (0, n):
-        vfib, vprof = vertex_fiber(p, p.target.act(sigma, (pos,)), profiles)
+        vfib, vprof = vertex_fiber(p, p.target.vertex_of(sigma, pos), profiles)
         leg = pullback_induced(vfib, fib, vertex_inclusion_map(n, pos), idx)
         legs.append(induced_homology(leg, vprof, prof))
     return prof, legs[0], legs[1]

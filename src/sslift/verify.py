@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .homology import homology
 from .lifting import FibrationClassReport, certify_fibration_class
-from .products import Pullback
+from .products import PairedSSet
 from .sset import SMap, SimplexRef, SimplicialError
 from .transport import fiber_summary, vertex_fiber, vertex_legs
 
@@ -117,7 +117,7 @@ def ltg_check(f: SMap, p: SMap, cap: int | None = None) -> BaseChangeReport:
     if f.target != p.target:
         raise SimplicialError("base change wants a cospan with a common target")
     base_class = certify_fibration_class(p, cap)
-    pulled = Pullback(f, p)
+    pulled = PairedSSet(f, p)
     p_prime = pulled.to_left
     pulled_class = certify_fibration_class(p_prime, cap)
     inherited = {}

@@ -11,9 +11,10 @@ them into surjection and injection parts.
 
 The arithmetic a simplicial set repeats for every simplex depends only
 on words and ordinals, never on the object: the split of a degenerate
-simplex composed with a map, the re-normalized word, the step that
-restricts a cell to one of its faces, and the rule for the faces of a
-degenerate simplex.  Those functions are memoized for the whole process.
+simplex composed with a map, the re-normalized word, and the rule for
+the faces of a degenerate simplex.  Every face and degeneracy of a
+simplicial set is computed from these three, and they are memoized for
+the whole process.
 Their keys range over words and monotone maps of bounded degree, and
 every result is an immutable tuple.
 """
@@ -85,16 +86,9 @@ def split(word: tuple[int, ...], degree: int, phi: tuple[int, ...]):
 
 @cache
 def renormalize(word: tuple[int, ...], degree: int, epi: tuple[int, ...]) -> tuple[int, ...]:
-    """Word of the surjection s o epi, where s is the surjection of word at degree."""
+    """Word of the surjection s o epi, where s is the surjection of word at
+    degree and epi is any monotone map with s o epi onto."""
     return map_to_word(compose(word_to_map(word, degree), epi))
-
-
-@cache
-def last_gap(mono: tuple[int, ...], degree: int) -> tuple[int, tuple[int, ...]]:
-    """For an injection into [degree] given by its image, missing some value:
-    the largest missing value k and the injection lowered with mono = delta_k o lowered."""
-    missing = max(set(range(degree + 1)) - set(mono))
-    return missing, tuple(v if v < missing else v - 1 for v in mono)
 
 
 @cache
@@ -109,7 +103,7 @@ def face_rule(word: tuple[int, ...], n: int, i: int):
     m = n - len(word)
     if len(mono) == m + 1:
         return None, map_to_word(epi)
-    return last_gap(mono, m)[0], epi
+    return max(set(range(m + 1)).difference(mono)), epi
 
 
 def delta_values(i: int, n: int) -> tuple[int, ...]:

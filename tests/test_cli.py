@@ -194,6 +194,13 @@ def test_bad_word_or_cap_is_a_one_line_input_error(capsys, argv):
     assert_one_line_input_error(capsys, argv)
 
 
+def test_a_non_decreasing_word_is_named_in_the_input_error(capsys):
+    err = assert_one_line_input_error(
+        capsys, ("fibers", fx("double_cover.ssx"), "--simplex", '["0,1","a"]')
+    )
+    assert "degeneracy word '0,1' is not strictly decreasing" in err
+
+
 def test_misplaced_global_flag_is_a_usage_error(capsys):
     # a global flag after the subcommand is not recognized there
     assert_one_line_input_error(capsys, ("nerve", "whatever.cat", "--json"))

@@ -38,7 +38,7 @@ from sslift.homology import (
     kernel_basis,
     reduce_unit_pivots,
 )
-from sslift.products import Product, Pullback
+from sslift.products import PairedSSet, Product
 from sslift.sset import SMap, SimplexRef, SimplicialSet, boundary, opposite, standard_simplex
 
 SEEDED = settings(max_examples=12, deadline=None, derandomize=True)
@@ -106,7 +106,7 @@ def random_pullback(seed: int) -> SimplicialSet:
         m, _, _ = nerve_functor(random_poset_functor(rng, c, d))
         values = {n: {c: m.value(n, c) for c in m.source.n_cells(n)} for n in m.source.degrees()}
         maps.append(SMap(m.source, base, values))
-    return Pullback(*maps).sset
+    return PairedSSet(*maps).sset
 
 
 # -- the reference and the checks ------------------------------------------------

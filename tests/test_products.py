@@ -12,12 +12,10 @@ from sslift.products import (
     Fiber,
     PairedSSet,
     Product,
-    Pullback,
     _pair_id,
     joint_normal_form,
     pair_map,
     pullback_induced,
-    restrict_over_simplex,
     vertex_inclusion_map,
 )
 from sslift.sset import (
@@ -31,6 +29,7 @@ from sslift.sset import (
     identity_map,
     standard_simplex,
 )
+from test_lifting_reference import ref_act
 from tests.test_sset import loop_space
 
 
@@ -80,7 +79,7 @@ def test_pullback_of_projection_is_fiber():
     x = loop_space()
     prod = Product(x, standard_simplex(1))
     inc = vertex_inclusion_map(1, 0)
-    pb = Pullback(inc, prod.to_right)
+    pb = PairedSSet(inc, prod.to_right)
     pb.sset.validate()
     # pulling the cylinder back over an endpoint recovers the loop
     assert pb.sset.counts() == x.counts()
@@ -88,7 +87,7 @@ def test_pullback_of_projection_is_fiber():
 
 def test_fiber_over_edge_of_cover(cover_map):
     edge = SimplexRef(1, (), "a<x")
-    fib = restrict_over_simplex(cover_map, edge)
+    fib = Fiber(cover_map, edge)
     assert fib.base_ref == edge
     fib.sset.validate()
     assert fib.sset.counts() == (4, 2)
@@ -99,7 +98,7 @@ def test_fiber_over_edge_of_cover(cover_map):
 
 
 def test_fiber_over_vertex(cover_map):
-    fib = restrict_over_simplex(cover_map, SimplexRef(0, (), "b"))
+    fib = Fiber(cover_map, SimplexRef(0, (), "b"))
     assert fib.sset.counts() == (2,)
 
 
@@ -108,7 +107,7 @@ def test_classifying_map_matches_fiber():
     prod = Product(x, standard_simplex(2))
     p = prod.to_right
     edge = SimplexRef(1, (), "0.1")
-    fib = restrict_over_simplex(p, edge)
+    fib = Fiber(p, edge)
     # classifier of the fiber composes to the edge inclusion
     cls = classifying_map(p.target, edge)
     for n in fib.sset.degrees():
@@ -121,8 +120,8 @@ def test_classifying_map_matches_fiber():
 def test_pullback_induced_commutes(cover_map):
     # include the fiber over a vertex into the fiber over an edge
     edge = SimplexRef(1, (), "a<x")
-    fib_e = restrict_over_simplex(cover_map, edge)
-    fib_v = restrict_over_simplex(cover_map, SimplexRef(0, (), "a"))
+    fib_e = Fiber(cover_map, edge)
+    fib_v = Fiber(cover_map, SimplexRef(0, (), "a"))
     leg = pullback_induced(
         fib_v, fib_e, vertex_inclusion_map(1, 0), identity_map(cover_map.source)
     )
@@ -173,8 +172,8 @@ class BruteForcePairs:
                 faces = []
                 for i in range(n + 1 if n else 0):
                     delta = W.delta_values(i, n)
-                    u = left_object.act(lref, delta)
-                    v = right_object.act(rref, delta)
+                    u = ref_act(left_object, lref, delta)
+                    v = ref_act(right_object, rref, delta)
                     common, nu, nv = joint_normal_form(u, v)
                     faces.append(SimplexRef(n - 1, common, ids[(nu, nv)]))
                 layer.append((cell_id, faces))
@@ -291,7 +290,7 @@ def test_pullbacks_of_fixture_cospans_match_the_reference():
     ]
     for left, right in cospans:
         along, of = fx[left], fx[right]
-        assert_matches(Pullback(along, of), reference_pullback(along, of))
+        assert_matches(PairedSSet(along, of), reference_pullback(along, of))
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -304,7 +303,7 @@ def test_pullbacks_of_random_cospans_match_the_reference(seed):
         legs.append(classifying_map(base, rng.choice(base.refs(n))))
     for along in legs:
         of = rng.choice([p, g])
-        assert_matches(Pullback(along, of), reference_pullback(along, of))
+        assert_matches(PairedSSet(along, of), reference_pullback(along, of))
 
 
 def test_empty_factor_gives_the_empty_object():

@@ -3,9 +3,10 @@
 An id is a simplex's position in refs(n).  The engine's face table is
 built from the cells' stored faces and the simplicial identities, and
 its image table from the map's values, without `act` or `apply`; here
-every row is decoded back to refs and compared with `act`, `last_edge`
-and `SMap.apply`, which stay the independent reference (`face` now
-shares the table's rule for d_i s_w, so it is no reference).
+every row is decoded back to refs and compared with the memo-free word
+arithmetic `ref_act` of test_lifting_reference (faces and last edges)
+and with `SMap.apply`.  `face` and `act` share the table's rule for
+d_i s_w, so they are no reference.
 """
 
 from pathlib import Path
@@ -24,6 +25,8 @@ from sslift.sset import (
     opposite_map,
     standard_simplex,
 )
+from test_lifting_reference import ref_act
+from tests.test_sset import semi_simplicial_triangle
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 MAP_FIXTURES = [
@@ -43,12 +46,6 @@ def unsorted_cells():
         0: [(c, []) for c in v],
         1: [("z", [v["v10"], v["v2"]]), ("a", [v["v1"], v["v10"]])],
     })
-
-
-def semi_simplicial_triangle():
-    cells = {n: [(c, standard_simplex(2).face_tuple(n, c)) for c in standard_simplex(2).n_cells(n)]
-             for n in range(3)}
-    return SimplicialSet(cells, simplicial=False)
 
 
 OBJECTS = {
@@ -85,12 +82,12 @@ def assert_faces_decode(x):
         assert len(table) == len(refs)
         for r, row in zip(refs, table):
             assert [below[f] for f in row] == [
-                x.act(r, W.delta_values(j, n)) for j in range(n + 1) if n
+                ref_act(x, r, W.delta_values(j, n)) for j in range(n + 1) if n
             ], r
         if n >= 1:
             edges = x.refs(1)
             for e, group in L._last_edge_index(x, n).items():
-                assert all(x.last_edge(refs[r]) == edges[e] for r in group)
+                assert all(ref_act(x, refs[r], (n - 1, n)) == edges[e] for r in group)
             assert sum(map(len, L._last_edge_index(x, n).values())) == len(refs)
 
 

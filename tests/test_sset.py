@@ -7,8 +7,11 @@ import random
 import pytest
 
 from sslift import words as W
+from sslift.cat import cyclic_group_category, nerve
+from sslift.products import Product
 from sslift.sset import (
     SimplexRef,
+    SimplicialError,
     SimplicialSet,
     ValidationError,
     boundary,
@@ -21,6 +24,7 @@ from sslift.sset import (
     standard_simplex,
     subcomplex,
 )
+from test_lifting_reference import ref_act
 
 
 def monotone_maps(m, n):
@@ -34,6 +38,12 @@ def monotone_maps(m, n):
 def loop_space():
     pt = SimplexRef(0, (), "p")
     return SimplicialSet({0: [("p", [])], 1: [("e", [pt, pt])]})
+
+
+def semi_simplicial_triangle():
+    d = standard_simplex(2)
+    cells = {n: [(c, d.face_tuple(n, c)) for c in d.n_cells(n)] for n in d.degrees()}
+    return SimplicialSet(cells, simplicial=False)
 
 
 def test_standard_simplex_counts():
@@ -76,6 +86,40 @@ def test_act_functorial():
                     gs = monotone_maps(g_dom, m)
                     for g in rng.sample(gs, min(2, len(gs))):
                         assert x.act(x.act(r, f), g) == x.act(r, W.compose(f, g))
+
+
+ACT_OBJECTS = {
+    "semi-triangle": semi_simplicial_triangle,
+    "op-simplex2": lambda: opposite(standard_simplex(2)),
+    "op-loop": lambda: opposite(loop_space()),
+    "op-Z3-cap3": lambda: opposite(nerve(cyclic_group_category(3), cap=3).sset),
+    "op-simplex1xsimplex1": lambda: opposite(
+        Product(standard_simplex(1), standard_simplex(1)).sset
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ACT_OBJECTS))
+def test_act_matches_the_memo_free_reference(name):
+    x = ACT_OBJECTS[name]()
+    for n in range(x.dimension + 2):
+        for r in x.refs(n):
+            for m in range(n + 1):
+                for phi in monotone_maps(m, n):
+                    if not x.simplicial and len(set(phi)) < len(phi):
+                        continue
+                    assert x.act(r, phi) == ref_act(x, r, phi), (r, phi)
+
+
+def test_act_on_a_semi_simplicial_object_rejects_non_injective_maps():
+    x = semi_simplicial_triangle()
+    for n in x.degrees():
+        for r in x.refs(n):
+            for m in range(n + 2):
+                for phi in monotone_maps(m, n):
+                    if len(set(phi)) < len(phi):
+                        with pytest.raises(SimplicialError, match="semi-simplicial"):
+                            x.act(r, phi)
 
 
 def test_act_identity_and_top_faces():

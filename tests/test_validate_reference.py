@@ -1,12 +1,14 @@
-"""SimplicialSet.validate and face against act-based references.
+"""SimplicialSet.validate and face against plain references.
 
 validate checks each face with one table lookup and the simplicial
 identities on rows of faces, and face takes one step of the rule for
 d_i s_w.  The references here are the plain versions they replace: the
-per-face checks and the identities computed through `act`.  Both must
-give the same outcome and the same message on valid objects of every
-kind and on several hundred seeded single-edit damages, and face must
-agree with `act` on every simplex up to one degree above the dimension.
+per-face checks, and the identities computed through `ref_act`, the
+memo-free word arithmetic of test_lifting_reference (`act` itself is
+now built from `face`, so it is no reference).  Both must give the same
+outcome and the same message on valid objects of every kind and on
+several hundred seeded single-edit damages, and face must agree with
+`ref_act` on every simplex up to one degree above the dimension.
 """
 
 import random
@@ -30,6 +32,7 @@ from sslift.sset import (
     opposite,
     standard_simplex,
 )
+from test_lifting_reference import ref_act
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -38,13 +41,23 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def reference_face(x, r, i):
+    """d_i r by ref_act, with face's errors: SimplicialError for a degree 0
+    ref, a bad word, a missing cell or a degenerate face of a
+    semi-simplicial set, and delta_values' ValueError for a bad index."""
     if r.degree < 1:
         raise SimplicialError("degree 0 simplices have no faces")
-    return x.act(r, W.delta_values(i, r.degree))
+    delta = W.delta_values(i, r.degree)
+    try:
+        out = ref_act(x, r, delta)
+    except ValueError as exc:
+        raise SimplicialError(str(exc)) from None
+    if out.word and not x.simplicial:
+        raise SimplicialError("degenerate simplex in a semi-simplicial set")
+    return out
 
 
 def reference_validate(x):
-    """Every face checked field by field, every identity through act."""
+    """Every face checked field by field, every identity through ref_act."""
     for n, cell_id, faces in x.cell_items():
         if n == 0:
             if faces:
@@ -364,7 +377,7 @@ def test_numbers_equal_to_ints_are_checked_as_the_reference_does(field, value):
     assert outcome(y.validate) == outcome(reference_validate, y)
 
 
-# -- face against act ---------------------------------------------------------
+# -- face against ref_act -----------------------------------------------------
 
 FACE_OBJECTS = sorted(name for name in VALID if "cap 6" not in name)
 
@@ -396,12 +409,16 @@ def test_face_rejects_bad_input_as_act_does(name):
         (SimplexRef(0, (), vertex), 0),  # degree 0
         (SimplexRef(top + 1, (top + 1,), cell), 0),  # word out of range
         (SimplexRef(top, (), "nowhere"), 0),  # missing cell
-        (SimplexRef(top, [0], cell), 0),  # unhashable word
     ]
     for r, i in bad:
         want = raised(reference_face, x, r, i)
         assert want is not None, (r, i)
         assert raised(x.face, r, i) is want, (r, i)
+    # refs are memo keys, so an unhashable word raises TypeError in both
+    # (ref_act, without memos, takes the list for a word)
+    r = SimplexRef(top, [0], cell)
+    assert raised(x.face, r, 0) is TypeError
+    assert raised(x.act, r, W.delta_values(0, top)) is TypeError
     # d_0 s_top is s_(top-1) d_0: a degenerate face, fine unless x is semi-simplicial
     r = SimplexRef(top + 1, (top,), cell)
     want = raised(reference_face, x, r, 0)

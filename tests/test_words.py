@@ -134,3 +134,47 @@ def test_rejects_garbage():
     assert not W.is_monotone((1, 0))
     with pytest.raises(Exception):
         W.word_to_map((5,), 1)
+
+
+def words_at(n):
+    """Every degeneracy word at degree n: the strictly decreasing subsets of range(n)."""
+    return [w for k in range(n + 1) for w in itertools.combinations(range(n - 1, -1, -1), k)]
+
+
+def surjection(word, n):
+    """s_word on [n]: t goes to the number of steps below t that word does not collapse."""
+    return tuple(sum(1 for j in range(t) if j not in word) for t in range(n + 1))
+
+
+def collapses(values):
+    """The word of a surjection: the steps it collapses, decreasing."""
+    return tuple(j for j in range(len(values) - 2, -1, -1) if values[j] == values[j + 1])
+
+
+def test_face_rule_is_the_epi_mono_factoring_of_s_w_delta_i():
+    for n in range(1, 7):
+        for w in words_at(n):
+            s = surjection(w, n)
+            m = n - len(w)
+            assert is_surjection(s, m)
+            for i in range(n + 1):
+                f = tuple(s[t if t < i else t + 1] for t in range(n))
+                image = sorted(set(f))
+                if len(image) == m + 1:
+                    want = (None, collapses(f))
+                else:
+                    (missing,) = set(range(m + 1)) - set(image)
+                    want = (missing, tuple(image.index(v) for v in f))
+                assert W.face_rule(w, n, i) == want, (w, n, i)
+
+
+def test_renormalize_is_the_word_of_the_composite():
+    for n in range(5):
+        for w in words_at(n):
+            for k in range(n + 2):
+                for phi in monotone_maps(k, n):
+                    composite = W.compose(W.word_to_map(w, n), phi)
+                    if not is_surjection(composite, n - len(w)):
+                        continue
+                    assert W.renormalize(w, n, phi) == W.map_to_word(composite)
+                    assert W.renormalize(w, n, phi) == collapses(composite)

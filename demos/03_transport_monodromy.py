@@ -10,14 +10,11 @@ from sslift import SimplexRef, nerve_functor, transport_homology
 from sslift.corpus import collapse_tower, double_cover
 
 p = nerve_functor(double_cover())[0]
-profiles = {}
 
 walk = [("a<x", False), ("b<x", True), ("b<y", False), ("a<y", True)]
 total = None
 for name, backward in walk:
-    res = transport_homology(
-        p, SimplexRef(1, (), name), backward=backward, profiles=profiles
-    )
+    res = transport_homology(p, SimplexRef(1, (), name), backward=backward)
     m = res.matrix(0)
     arrow = "<-" if backward else "->"
     print(f"{name:>4} {arrow}  H_0 matrix {m.to_lists()}  iso={res.is_iso}")
@@ -28,11 +25,10 @@ print(f"squares to the identity: {(total @ total).to_lists()}")
 
 # where sheets merge, transport still exists but is not invertible
 q = nerve_functor(collapse_tower())[0]
-cache = {}
 for name in ("0<1", "1<2", "0<2"):
-    res = transport_homology(q, SimplexRef(1, (), name), profiles=cache)
+    res = transport_homology(q, SimplexRef(1, (), name))
     print(f"\ntower edge {name}: H_0 {res.matrix(0).to_lists()}  iso={res.is_iso}")
-t01 = transport_homology(q, SimplexRef(1, (), "0<1"), profiles=cache).matrix(0)
-t12 = transport_homology(q, SimplexRef(1, (), "1<2"), profiles=cache).matrix(0)
-t02 = transport_homology(q, SimplexRef(1, (), "0<2"), profiles=cache).matrix(0)
+t01 = transport_homology(q, SimplexRef(1, (), "0<1")).matrix(0)
+t12 = transport_homology(q, SimplexRef(1, (), "1<2")).matrix(0)
+t02 = transport_homology(q, SimplexRef(1, (), "0<2")).matrix(0)
 print(f"\ncomposite along 0<1 then 1<2 equals direct 0<2: {(t12 @ t01) == t02}")

@@ -86,7 +86,6 @@ from .products import (
     Product,
     pair_map,
     pullback_induced,
-    vertex_inclusion_map,
 )
 from .sset import (
     SMap,

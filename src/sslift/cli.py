@@ -76,7 +76,7 @@ def _find_ref(x: SimplicialSet, text: str, degree: int | None = None) -> Simplex
         except ValueError as exc:
             raise InputProblem(f"{text!r}: {exc}") from None
         cell = entry[1]
-    hits = [n for n in range(x.dimension + 1) if cell in x._faces[n]]
+    hits = [n for n in x.degrees() if x.has_cell(n, cell)]
     if not hits:
         raise InputProblem(f"no cell named {cell!r}")
     if len(hits) > 1:

@@ -514,6 +514,18 @@ class HomologyGroup:
             out.append(val % order if order else val)
         return out
 
+    def with_relations(self, matrix: IntMatrix) -> IntMatrix:
+        """matrix, a map into this group's generators, with the relations
+        order * e_i of its torsion generators appended as columns."""
+        cols = matrix.columns()
+        r = len(self.orders)
+        for i, order in enumerate(self.orders):
+            if order:
+                col = [0] * r
+                col[i] = order
+                cols.append(col)
+        return IntMatrix.from_columns(r, cols)
+
     def invariants(self) -> tuple[int, tuple[int, ...]]:
         return (self.betti, tuple(self.torsion))
 
@@ -683,14 +695,7 @@ def is_group_iso(
     if source.invariants() != target.invariants():
         return False
     r = len(target.orders)
-    cols = matrix.columns()
-    for i, order in enumerate(target.orders):
-        if order:
-            col = [0] * r
-            col[i] = order
-            cols.append(col)
-    stacked = IntMatrix.from_columns(r, cols)
-    d = _smith_tracked(stacked, u=False, v=False, u_inv=False)[0]
+    d = _smith_tracked(target.with_relations(matrix), u=False, v=False, u_inv=False)[0]
     invariant = [d.data[i][i] for i in range(min(d.rows, d.cols))]
     rank = sum(1 for val in invariant if val)
     return rank == r and all(abs(val) == 1 for val in invariant[:rank])

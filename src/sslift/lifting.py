@@ -42,6 +42,7 @@ from .sset import (
     SimplicialError,
     SimplicialSet,
     image_of_ref,
+    kept,
     op_ref,
     opposite_map,
     simplex_in_standard,
@@ -118,30 +119,17 @@ def op_problem(problem: HornProblem) -> HornProblem:
 # word's cell degree in candidate order, so an id is the block's offset
 # plus the cell's rank.  Every table lists ids in candidate order, so a
 # lookup yields exactly what a scan of refs(n) in that order would keep,
-# in the same order.  Tables are built on first use and kept on the
-# object or map they describe, so they live as long as it does.
+# in the same order.  sset.kept builds each table on first use and keeps
+# it on the object or map it describes, so it lives as long as that does.
 
 
-def _kept(build):
-    """Keep build(owner, *args) in owner._lift_tables after the first call."""
-
-    def table(owner, *args):
-        key = (build, *args)
-        hit = owner._lift_tables.get(key)
-        if hit is None:
-            hit = owner._lift_tables[key] = build(owner, *args)
-        return hit
-
-    return table
-
-
-@_kept
+@kept
 def _cell_ranks(x: SimplicialSet, m: int) -> dict[str, int]:
     """The degree-m cells of x by their rank in candidate order."""
     return {c: k for k, c in enumerate(sorted(x.n_cells(m)))}
 
 
-@_kept
+@kept
 def _blocks(x: SimplicialSet, n: int) -> dict[tuple[int, ...], tuple[int, dict]]:
     """The degree-n ids of x by block: word -> (offset, ranks of the cells
     it degenerates), in candidate order."""
@@ -171,13 +159,13 @@ def _splitter(x: SimplicialSet, degree: int):
     return lambda r: (r.word, ranks[degree - len(r.word)][r.cell])
 
 
-@_kept
+@kept
 def _ids(x: SimplicialSet, n: int) -> dict[SimplexRef, int]:
     """The id of every degree-n simplex of x: the engine's boundary."""
     return {r: k for k, r in enumerate(x.refs(n))}
 
 
-@_kept
+@kept
 def _face_table(x: SimplicialSet, n: int) -> list[tuple[int, ...]]:
     """The ids of the faces d_0..d_n of every degree-n simplex of x, by id.
 
@@ -205,7 +193,7 @@ def _face_table(x: SimplicialSet, n: int) -> list[tuple[int, ...]]:
     return rows
 
 
-@_kept
+@kept
 def _face_index(
     x: SimplicialSet, degree: int, positions: tuple[int, ...]
 ) -> dict[tuple[int, ...], list[int]]:
@@ -216,7 +204,7 @@ def _face_index(
     return index
 
 
-@_kept
+@kept
 def _last_edge_index(x: SimplicialSet, degree: int) -> dict[int, dict[int, None]]:
     """Degree-n ids of x keyed by their last edge, each group a dict used
     as an ordered set (iteration in candidate order, O(1) `in`)."""
@@ -231,7 +219,7 @@ def _last_edge_index(x: SimplicialSet, degree: int) -> dict[int, dict[int, None]
     return index
 
 
-@_kept
+@kept
 def _images(p: SMap, n: int) -> list[int]:
     """The id of p's image of every degree-n id of its source."""
     x, y = p.source, p.target
@@ -247,7 +235,7 @@ def _images(p: SMap, n: int) -> list[int]:
     return out
 
 
-@_kept
+@kept
 def _solution_table(p: SMap, n: int, i: int) -> dict[tuple[int, ...], list[int]]:
     """Degree-n ids of the source keyed by (faces at j != i, image): each
     (n, i)-horn problem's key leads to its solutions."""
@@ -258,7 +246,7 @@ def _solution_table(p: SMap, n: int, i: int) -> dict[tuple[int, ...], list[int]]
     return table
 
 
-_op_map = _kept(opposite_map)
+_op_map = kept(opposite_map)
 
 
 # -- single problems ----------------------------------------------------------

@@ -21,7 +21,6 @@ from .sset import (
     SimplicialSet,
     classifying_map,
     image_of_ref,
-    standard_simplex,
     terminal_map,
 )
 
@@ -185,8 +184,3 @@ def pullback_induced(
         assignment.setdefault(n, {})[cell_id] = ref
     return SMap(src.sset, dst.sset, assignment)
 
-
-def vertex_inclusion_map(n: int, vertex: int) -> SMap:
-    """The inclusion of the standard 0-simplex at a vertex of the standard n-simplex."""
-    target = standard_simplex(n)
-    return classifying_map(target, target.cell_ref(0, str(vertex)))

@@ -15,10 +15,15 @@ the word of the result (words.renormalize).
 The semi-simplicial flag forbids degeneracy words everywhere; such
 objects only support face structure and are accepted by the homology
 backend.
+
+Data derived from an object or a map (its refs, its opposite, the
+lifting tables, a map's vertex fibers) is built on first use and kept
+on its owner by kept, so it lives exactly as long as the owner does.
 """
 
 from __future__ import annotations
 
+from functools import wraps
 from typing import Iterable, Iterator, NamedTuple
 
 from . import words as W
@@ -57,6 +62,20 @@ def ref_sort_key(r: SimplexRef):
     return (len(r.word), r.word, r.cell)
 
 
+def kept(build):
+    """Keep build(owner, *args) in owner._kept after the first call, keyed
+    by the decorated function and the (hashable) arguments."""
+
+    def table(owner, *args):
+        key = (table, *args)
+        hit = owner._kept.get(key)
+        if hit is None:
+            hit = owner._kept[key] = build(owner, *args)
+        return hit
+
+    return wraps(build)(table)
+
+
 class SimplicialSet:
     """A finite (semi-)simplicial set presented by nondegenerate cells."""
 
@@ -86,9 +105,7 @@ class SimplicialSet:
                     raise ValidationError(f"duplicate cell id {cell_id!r} in degree {n}")
                 self._order[n].append(cell_id)
                 self._faces[n][cell_id] = tuple(faces)
-        self._ref_cache: dict[int, list[SimplexRef]] = {}
-        self._lift_tables: dict = {}  # the lifting engine's lookup tables
-        self._op_cache: SimplicialSet | None = None
+        self._kept: dict = {}  # derived data, see kept
 
     # -- basic structure ------------------------------------------------
 
@@ -178,13 +195,11 @@ class SimplicialSet:
             raise SimplicialError("no last edge below degree 1")
         return self.act(r, (r.degree - 1, r.degree))
 
+    @kept
     def refs(self, n: int) -> list[SimplexRef]:
         """All degree-n simplices, sorted by (word length, word, cell id)."""
         if n < 0:
             return []
-        hit = self._ref_cache.get(n)
-        if hit is not None:
-            return hit
         out: list[SimplexRef] = []
         if self.simplicial:
             from itertools import combinations
@@ -198,7 +213,6 @@ class SimplicialSet:
             for cell_id in self.n_cells(n):
                 out.append(SimplexRef(n, (), cell_id))
         out.sort(key=ref_sort_key)
-        self._ref_cache[n] = out
         return out
 
     def resolve(self, r: SimplexRef) -> SimplexRef:
@@ -401,10 +415,9 @@ def horn(n: int, i: int) -> SimplicialSet:
     return subcomplex(ambient, seeds)
 
 
+@kept
 def opposite(x: SimplicialSet) -> SimplicialSet:
     """Reverse the ordinal order: face i becomes face n-i, words reflect."""
-    if x._op_cache is not None:
-        return x._op_cache
     cells: dict[int, list[tuple[str, list[SimplexRef]]]] = {}
     for n, cell_id, faces in x.cell_items():
         flipped = [
@@ -415,8 +428,7 @@ def opposite(x: SimplicialSet) -> SimplicialSet:
     out = SimplicialSet(
         cells, simplicial=x.simplicial, truncated_at=x.truncated_at, tags=x.tags
     )
-    x._op_cache = out
-    out._op_cache = x
+    out._kept[(opposite,)] = x
     return out
 
 
@@ -452,7 +464,7 @@ class SMap:
             for n, layer in assignment.items()
             if layer
         }
-        self._lift_tables: dict = {}  # the lifting engine's lookup tables
+        self._kept: dict = {}  # derived data, see kept
 
     def value(self, n: int, cell_id: str) -> SimplexRef:
         try:

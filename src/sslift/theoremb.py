@@ -38,7 +38,6 @@ from .cat import (
 )
 from .homology import HomologyProfile, homology, induced_homology
 from .lifting import FibrationClassReport, certify_fibration_class
-from .products import Fiber
 from .sset import SimplexRef
 from .transport import TransportResult, fiber_summary, transport_homology, vertex_fiber
 
@@ -137,19 +136,16 @@ def theorem_b_report(f: Functor, cap: int | None = None) -> TheoremBReport:
 
     transports: list[tuple[SimplexRef, TransportResult]] = []
     failing: SimplexRef | None = None
-    profiles: dict = {}
     if fibration.inner.certified:
         for g in n_d.sset.refs(1):
-            t = transport_homology(
-                q, g, certificate=fibration.cocartesian, profiles=profiles
-            )
+            t = transport_homology(q, g, certificate=fibration.cocartesian)
             transports.append((g, t))
             if failing is None and not t.is_iso:
                 failing = g
     hypothesis = fibration.inner.certified and failing is None
 
     vertex_fibers = {
-        d: vertex_fiber(q, SimplexRef(0, (), d), profiles)[1]
+        d: vertex_fiber(q, SimplexRef(0, (), d))[1]
         for d in sorted(f.target.objects)
     }
 
@@ -166,9 +162,9 @@ def theorem_b_report(f: Functor, cap: int | None = None) -> TheoremBReport:
             slice_agreement[d] = vertex_fibers[d].same_invariants(slice_prof)
         pmap, _, n_c = nerve_functor(to_c, cap)
         for c in sorted(f.source.objects):
-            fib = Fiber(pmap, SimplexRef(0, (), c))
-            coslice_contractible[c] = _contractible(homology(fib.sset))
-        component_constancy, chi = fiber_summary(q, profiles)
+            coslice = vertex_fiber(pmap, SimplexRef(0, (), c))[1]
+            coslice_contractible[c] = _contractible(coslice)
+        component_constancy, chi = fiber_summary(q)
         projection_iso = induced_homology(pmap).is_iso
         unit = _comma_unit(f, comma, to_c)
         unit.validate()

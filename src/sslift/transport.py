@@ -16,7 +16,9 @@ The comparisons behind transport are shared with the whole-map reports:
 vertex_legs builds the fiber over a simplex with its first- and
 last-vertex legs, and fiber_summary checks that vertex fiber homology
 is constant on components of the base and that Euler characteristics
-multiply.  Both take vertex fibers from the vertex_fiber cache.
+multiply.  Both read vertex fibers through vertex_fiber, which keeps
+each one on the map, so every report and transport on that map shares
+one fiber and one generator basis per vertex.
 """
 
 from __future__ import annotations
@@ -35,8 +37,8 @@ from .homology import (
     is_group_iso,
     pi0,
 )
-from .products import Fiber, pullback_induced, vertex_inclusion_map
-from .sset import SMap, SimplexRef, SimplicialError, identity_map
+from .products import Fiber
+from .sset import SMap, SimplexRef, SimplicialError, kept
 
 
 @dataclass
@@ -94,14 +96,7 @@ def _divide_leg(
         mid = leg.target.group(k)
         src = push.source.group(k)
         dst = leg.source.group(k)
-        a_cols = leg.matrix(k).columns()
-        torsion_cols = []
-        for i, order in enumerate(mid.orders):
-            if order:
-                col = [0] * len(mid.orders)
-                col[i] = order
-                torsion_cols.append(col)
-        leg_form = SmithForm(IntMatrix.from_columns(len(mid.orders), a_cols + torsion_cols))
+        leg_form = SmithForm(mid.with_relations(leg.matrix(k)))
         cols = []
         for g in push.matrix(k).columns():
             t = leg_form.solve(g)
@@ -119,47 +114,47 @@ def _divide_leg(
     return matrices, flags
 
 
-def vertex_fiber(
-    p: SMap, v: SimplexRef, profiles: dict | None = None
-) -> tuple[Fiber, HomologyProfile]:
-    """The fiber of p over the vertex v with its homology, looked up in or
-    added to the profiles cache when one is given."""
-    if profiles is not None and v in profiles:
-        return profiles[v]
+@kept
+def vertex_fiber(p: SMap, v: SimplexRef) -> tuple[Fiber, HomologyProfile]:
+    """The fiber of p over the vertex v with its homology, kept on p."""
     fib = Fiber(p, v)
-    pair = (fib, homology(fib.sset))
-    if profiles is not None:
-        profiles[v] = pair
-    return pair
+    return fib, homology(fib.sset)
+
+
+def _vertex_leg(vfib: Fiber, fib: Fiber, pos: int) -> SMap:
+    """The inclusion of the fiber over vertex pos of fib's base simplex
+    into fib: the cell with components (s_w 0, y) goes to (s_w pos, y)."""
+    vertex = str(pos)
+    assignment: dict[int, dict[str, SimplexRef]] = {}
+    for (m, cell_id), (a, y) in vfib.components.items():
+        ref = fib.pair_ref(SimplexRef(m, a.word, vertex), y)
+        assignment.setdefault(m, {})[cell_id] = ref
+    return SMap(vfib.sset, fib.sset, assignment)
 
 
 def vertex_legs(
-    p: SMap, sigma: SimplexRef, profiles: dict | None = None
+    p: SMap, sigma: SimplexRef
 ) -> tuple[HomologyProfile, InducedHomology, InducedHomology]:
     """Homology of the fiber over sigma, and the maps induced on homology
     by the inclusions of the fibers over its first and last vertices."""
     n = sigma.degree
     fib = Fiber(p, sigma)
     prof = homology(fib.sset)
-    idx = identity_map(p.source)
     legs = []
     for pos in (0, n):
-        vfib, vprof = vertex_fiber(p, p.target.vertex_of(sigma, pos), profiles)
-        leg = pullback_induced(vfib, fib, vertex_inclusion_map(n, pos), idx)
-        legs.append(induced_homology(leg, vprof, prof))
+        vfib, vprof = vertex_fiber(p, p.target.vertex_of(sigma, pos))
+        legs.append(induced_homology(_vertex_leg(vfib, fib, pos), vprof, prof))
     return prof, legs[0], legs[1]
 
 
-def fiber_summary(
-    p: SMap, profiles: dict
-) -> tuple[dict[str, bool], dict | None]:
+def fiber_summary(p: SMap) -> tuple[dict[str, bool], dict | None]:
     """Constancy of vertex fiber homology on each path component of the
     base, and over a connected base the Euler characteristics of total
     space, fiber and base (None when truncation hides one of them)."""
     y = p.target
 
     def fiber_at(v: str) -> tuple[Fiber, HomologyProfile]:
-        return vertex_fiber(p, SimplexRef(0, (), v), profiles)
+        return vertex_fiber(p, SimplexRef(0, (), v))
 
     n_components, labels = pi0(y)
     by_label: dict[str, list[str]] = {}
@@ -191,23 +186,22 @@ def transport_homology(
     edge: SimplexRef,
     backward: bool = False,
     certificate=None,
-    profiles: dict | None = None,
 ) -> TransportResult:
     """Move fiber homology along an edge of the base of p.
 
-    profiles, when given, caches vertex fiber homology across calls so
-    that matrices along composable edges share generator bases.  The
-    certificate, when given, is the caller's record of whether the
-    relevant lifting class (cartesian backward, cocartesian forward)
-    held, and its status is reported; the transport itself only needs
-    the inverted leg to be a homology isomorphism.
+    Vertex fibers are kept on p (vertex_fiber), so matrices along
+    composable edges share generator bases.  The certificate, when
+    given, is the caller's record of whether the relevant lifting class
+    (cartesian backward, cocartesian forward) held, and its status is
+    reported; the transport itself only needs the inverted leg to be a
+    homology isomorphism.
     """
     p.target.resolve(edge)
     if edge.degree != 1:
         raise SimplicialError("transport wants an edge of the base")
     status = certificate.status if certificate is not None else None
 
-    prof_edge, leg_src, leg_tgt = vertex_legs(p, edge, profiles)
+    prof_edge, leg_src, leg_tgt = vertex_legs(p, edge)
     invert, push = (leg_src, leg_tgt) if backward else (leg_tgt, leg_src)
     invertible = invert.is_iso
     matrices: list[IntMatrix] | None = None

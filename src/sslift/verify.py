@@ -68,11 +68,10 @@ def realization_fibration_certificate(p: SMap) -> RealizationReport:
     y = p.target
     comparisons = []
     witness = None
-    profiles: dict = {}
     for n in range(1, y.dimension + 1):
         for cell in y.n_cells(n):
             sigma = SimplexRef(n, (), cell)
-            _, first, last = vertex_legs(p, sigma, profiles)
+            _, first, last = vertex_legs(p, sigma)
             comparisons.append(SimplexComparison(sigma, first.is_iso, last.is_iso))
             if witness is None and not (first.is_iso and last.is_iso):
                 witness = (sigma, "last" if first.is_iso else "first")
@@ -126,13 +125,12 @@ def ltg_check(f: SMap, p: SMap, cap: int | None = None) -> BaseChangeReport:
         after = getattr(pulled_class, kind)
         inherited[kind] = (not before.certified) or after.certified
 
-    profiles: dict = {}
     vertex_case = None
     if f.source.counts() == (1,):
         v = f.source.n_cells(0)[0]
-        _, prof = vertex_fiber(p, f.value(0, v), profiles)
+        _, prof = vertex_fiber(p, f.value(0, v))
         vertex_case = homology(pulled.sset).same_invariants(prof)
-    component_constancy, chi = fiber_summary(p, profiles)
+    component_constancy, chi = fiber_summary(p)
 
     witness = None
     if not all(inherited.values()):

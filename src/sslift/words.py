@@ -136,6 +136,8 @@ def parse_word(text: str) -> tuple[int, ...]:
         word = tuple(int(part) for part in text.split(","))
     except ValueError as exc:
         raise ValueError(f"malformed degeneracy word {text!r}") from exc
+    if any(i < 0 for i in word):
+        raise ValueError(f"degeneracy word {text!r} has a negative index")
     if not is_word(word):
         raise ValueError(f"degeneracy word {text!r} is not strictly decreasing")
     return word

@@ -201,6 +201,13 @@ def test_a_non_decreasing_word_is_named_in_the_input_error(capsys):
     assert "degeneracy word '0,1' is not strictly decreasing" in err
 
 
+def test_a_negative_word_index_is_named_in_the_input_error(capsys):
+    err = assert_one_line_input_error(
+        capsys, ("fibers", fx("double_cover.ssx"), "--simplex", '["-1","a"]')
+    )
+    assert "degeneracy word '-1' has a negative index" in err
+
+
 def test_misplaced_global_flag_is_a_usage_error(capsys):
     # a global flag after the subcommand is not recognized there
     assert_one_line_input_error(capsys, ("nerve", "whatever.cat", "--json"))

@@ -16,7 +16,6 @@ from sslift.products import (
     joint_normal_form,
     pair_map,
     pullback_induced,
-    vertex_inclusion_map,
 )
 from sslift.sset import (
     SMap,
@@ -31,6 +30,11 @@ from sslift.sset import (
 )
 from test_lifting_reference import ref_act
 from tests.test_sset import loop_space
+
+
+def vertex_inclusion(n, vertex):
+    """The inclusion of the point at a vertex of the standard n-simplex."""
+    return classifying_map(standard_simplex(n), SimplexRef(0, (), str(vertex)))
 
 
 def grid_chain_count(m, n, k):
@@ -78,7 +82,7 @@ def test_projections_commute_with_pairing():
 def test_pullback_of_projection_is_fiber():
     x = loop_space()
     prod = Product(x, standard_simplex(1))
-    inc = vertex_inclusion_map(1, 0)
+    inc = vertex_inclusion(1, 0)
     pb = PairedSSet(inc, prod.to_right)
     pb.sset.validate()
     # pulling the cylinder back over an endpoint recovers the loop
@@ -123,7 +127,7 @@ def test_pullback_induced_commutes(cover_map):
     fib_e = Fiber(cover_map, edge)
     fib_v = Fiber(cover_map, SimplexRef(0, (), "a"))
     leg = pullback_induced(
-        fib_v, fib_e, vertex_inclusion_map(1, 0), identity_map(cover_map.source)
+        fib_v, fib_e, vertex_inclusion(1, 0), identity_map(cover_map.source)
     )
     leg.validate()
     for c in fib_v.sset.n_cells(0):
@@ -339,7 +343,7 @@ def test_semi_simplicial_factor_raises():
 def test_mismatched_cospan_raises_before_the_factor_check():
     c = circle()
     into_circle = classifying_map(c, SimplexRef(0, (), c.n_cells(0)[0]))
-    into_interval = vertex_inclusion_map(1, 0)
+    into_interval = vertex_inclusion(1, 0)
     with pytest.raises(SimplicialError, match="common target"):
         PairedSSet(into_circle, into_interval)
     semi = semi_simplicial_loop()
@@ -349,4 +353,4 @@ def test_mismatched_cospan_raises_before_the_factor_check():
     with pytest.raises(SimplicialError, match="common target"):
         PairedSSet(to_point, into_circle)
     with pytest.raises(SimplicialError, match="simplicial factors"):
-        PairedSSet(to_point, vertex_inclusion_map(0, 0))
+        PairedSSet(to_point, vertex_inclusion(0, 0))

@@ -7,7 +7,7 @@ from sslift.cat import nerve_functor
 from sslift.homology import IntMatrix
 from sslift.lifting import certify_fibration_class
 from sslift.sset import SimplexRef, SimplicialError
-from sslift.transport import transport_homology
+from sslift.transport import transport_homology, vertex_fiber
 
 
 def chase(cover, obj, base_arrow, backward=False):
@@ -38,10 +38,10 @@ def fiber_objects(fib):
     return out
 
 
-def assert_matrix_matches_chase(result, profiles, cover, base_arrow):
+def assert_matrix_matches_chase(result, p, cover, base_arrow):
     """The H_0 matrix must agree with the categorical sheet chase."""
-    fib_src, prof_src = profiles[_vertex(result, cover, start=True)]
-    fib_tgt, prof_tgt = profiles[_vertex(result, cover, start=False)]
+    fib_src, prof_src = vertex_fiber(p, _vertex(result, cover, start=True))
+    fib_tgt, prof_tgt = vertex_fiber(p, _vertex(result, cover, start=False))
     src_cells = fiber_objects(fib_src)
     tgt_cells = fiber_objects(fib_tgt)
     t = result.matrix(0)
@@ -73,32 +73,23 @@ def cover_setup():
 
 def test_cover_edges_transport_by_permutation(cover_setup):
     cover, p = cover_setup
-    profiles = {}
     for name in ("a<x", "a<y", "b<x", "b<y"):
         edge = SimplexRef(1, (), name)
-        res = transport_homology(p, edge, profiles=profiles)
+        res = transport_homology(p, edge)
         assert res.leg_invertible
         assert res.is_iso
         rows = res.matrix(0).to_lists()
         assert sorted(map(tuple, rows)) == [(0, 1), (1, 0)]
-        assert_matrix_matches_chase(res, profiles, cover, name)
-    direct = transport_homology(
-        p, SimplexRef(1, (), "a<x"), profiles=profiles
-    )
+        assert_matrix_matches_chase(res, p, cover, name)
+    direct = transport_homology(p, SimplexRef(1, (), "a<x"))
     assert direct.matrix(0) == IntMatrix.identity(2)
 
 
 def test_monodromy_around_the_square_swaps_sheets(cover_setup):
     cover, p = cover_setup
-    profiles = {}
 
     def step(name, backward):
-        res = transport_homology(
-            p,
-            SimplexRef(1, (), name),
-            backward=backward,
-            profiles=profiles,
-        )
+        res = transport_homology(p, SimplexRef(1, (), name), backward=backward)
         assert res.leg_invertible and res.is_iso
         return res.matrix(0)
 
@@ -122,21 +113,16 @@ def test_degenerate_edge_transports_identically(cover_setup):
 
 def test_backward_undoes_forward(cover_setup):
     _, p = cover_setup
-    profiles = {}
     edge = SimplexRef(1, (), "b<y")
-    fwd = transport_homology(p, edge, profiles=profiles)
-    bwd = transport_homology(p, edge, backward=True, profiles=profiles)
+    fwd = transport_homology(p, edge)
+    bwd = transport_homology(p, edge, backward=True)
     assert (bwd.matrix(0) @ fwd.matrix(0)) == IntMatrix.identity(2)
     assert (fwd.matrix(0) @ bwd.matrix(0)) == IntMatrix.identity(2)
 
 
 def test_tower_transport_composes_but_collapses(tower_map):
-    profiles = {}
-
     def along(name):
-        return transport_homology(
-            tower_map, SimplexRef(1, (), name), profiles=profiles
-        )
+        return transport_homology(tower_map, SimplexRef(1, (), name))
 
     t01, t12, t02 = along("0<1"), along("1<2"), along("0<2")
     assert t01.matrix(0).to_lists() == [[0, 1], [1, 0]]
@@ -163,15 +149,17 @@ def test_certificate_status_is_advisory(tower_map):
     assert bwd.matrix(0).to_lists() == [[0, 1], [1, 0]]
 
 
-def test_profile_cache_is_shared(cover_setup):
-    _, p = cover_setup
-    profiles = {}
-    transport_homology(p, SimplexRef(1, (), "a<x"), profiles=profiles)
-    assert sorted(v.cell for v in profiles) == ["a", "x"]
-    _, prof_a = profiles[SimplexRef(0, (), "a")]
-    transport_homology(p, SimplexRef(1, (), "a<y"), profiles=profiles)
-    assert sorted(v.cell for v in profiles) == ["a", "x", "y"]
-    assert profiles[SimplexRef(0, (), "a")][1] is prof_a
+def test_vertex_fibers_are_kept_on_the_map(cover):
+    p = nerve_functor(cover)[0]
+    a = SimplexRef(0, (), "a")
+    first = transport_homology(p, SimplexRef(1, (), "a<x"))
+    kept = vertex_fiber(p, a)
+    assert first.source_profile is kept[1]
+    second = transport_homology(p, SimplexRef(1, (), "a<y"))
+    assert vertex_fiber(p, a) is kept
+    assert second.source_profile is kept[1]
+    # another map of the same functor keeps fibers of its own
+    assert vertex_fiber(nerve_functor(cover)[0], a) is not kept
 
 
 def test_transport_rejects_non_edges(cover_setup):

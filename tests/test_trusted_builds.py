@@ -22,7 +22,7 @@ from sslift.cat import (
 )
 from sslift.formats import load_path
 from sslift.lifting import last_vertex_contraction
-from sslift.products import Fiber, pair_map, pullback_induced, vertex_inclusion_map
+from sslift.products import Fiber, pair_map, pullback_induced
 from sslift.sset import (
     SimplexRef,
     boundary,
@@ -38,6 +38,7 @@ from sslift.sset import (
     subcomplex,
 )
 from sslift.theoremb import _comma_unit
+from sslift.transport import _vertex_leg, vertex_fiber
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -144,16 +145,31 @@ def test_simplicial_builds_validate(name):
     for n in range(3):
         for r in y.refs(n):
             assert_valid(classifying_map(y, r))
-    idx = identity_map(x)
     for n in range(2):
         for sigma in y.refs(n):
             fib = Fiber(p, sigma)
             assert_valid(fib.sset, fib.to_left, fib.to_right)
             assert_valid(pair_map(fib, fib.to_left, fib.to_right))
-            for pos in (0, n):
-                vfib = Fiber(p, y.act(sigma, (pos,)))
-                leg = pullback_induced(vfib, fib, vertex_inclusion_map(n, pos), idx)
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_vertex_legs_validate_and_match_pullback_induced(name):
+    """Every vertex leg, over every simplex up to degree 2 and at every
+    vertex position, is a map, and it is the map that pullback_induced
+    builds from the vertex's inclusion and the identity of the total space."""
+    p = MAPS[name]()
+    x, y = p.source, p.target
+    idx = identity_map(x)
+    for n in range(3):
+        delta = standard_simplex(n)
+        for sigma in y.refs(n):
+            fib = Fiber(p, sigma)
+            for pos in range(n + 1):
+                vfib = vertex_fiber(p, y.vertex_of(sigma, pos))[0]
+                leg = _vertex_leg(vfib, fib, pos)
                 assert_valid(leg)
+                inclusion = classifying_map(delta, SimplexRef(0, (), str(pos)))
+                assert leg == pullback_induced(vfib, fib, inclusion, idx)
 
 
 def test_corpus_objects_validate():

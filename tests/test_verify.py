@@ -3,6 +3,7 @@
 import pytest
 
 from sslift import products
+from sslift.cat import nerve_functor
 from sslift.corpus import circle, cylinder_projection, interval_vertex
 from sslift.sset import (
     SimplexRef,
@@ -91,14 +92,15 @@ def count_fibers(monkeypatch):
     return built
 
 
-def test_each_vertex_fiber_is_built_once(monkeypatch, c4_nerve, cover_map):
+def test_each_vertex_fiber_is_built_once(monkeypatch, c4_nerve, cover):
     built = count_fibers(monkeypatch)
-    realization_fibration_certificate(cover_map)
+    realization_fibration_certificate(nerve_functor(cover)[0])
     # four edge fibers, plus four vertex fibers shared by the edges at them
     assert len(built) == 8 and len(set(built)) == 8
 
     built.clear()
-    ltg_check(classifying_map(c4_nerve.sset, SimplexRef(1, (), "a<x")), cover_map)
+    edge = classifying_map(c4_nerve.sset, SimplexRef(1, (), "a<x"))
+    ltg_check(edge, nerve_functor(cover)[0])
     # one fiber per base vertex; the Euler characteristic reuses one of them
     assert len(built) == 4 and len(set(built)) == 4
 
@@ -106,3 +108,16 @@ def test_each_vertex_fiber_is_built_once(monkeypatch, c4_nerve, cover_map):
     ltg_check(interval_vertex("1"), cylinder_projection())
     # the vertex case and the fiber summary share the fiber over 1
     assert len(built) == 2 and len(set(built)) == 2
+
+
+def test_a_second_report_on_a_map_builds_no_vertex_fiber(monkeypatch, c4_nerve, cover):
+    p = nerve_functor(cover)[0]
+    realization_fibration_certificate(p)
+    built = count_fibers(monkeypatch)
+    realization_fibration_certificate(p)
+    # the edge fibers again, and no vertex fiber: those are kept on p
+    assert sorted(r.degree for r in built) == [1, 1, 1, 1]
+
+    built.clear()
+    ltg_check(classifying_map(c4_nerve.sset, SimplexRef(1, (), "a<x")), p)
+    assert built == []

@@ -108,6 +108,22 @@ def test_word_string_round_trip():
     assert W.word_string((2, 0)) == "2,0"
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("-1", "degeneracy word '-1' has a negative index"),
+        ("2,-1", "degeneracy word '2,-1' has a negative index"),
+        ("0,1", "degeneracy word '0,1' is not strictly decreasing"),
+        ("1,1", "degeneracy word '1,1' is not strictly decreasing"),
+        ("x", "malformed degeneracy word 'x'"),
+    ],
+)
+def test_parse_word_names_the_fault(text, message):
+    with pytest.raises(ValueError) as exc:
+        W.parse_word(text)
+    assert str(exc.value) == message
+
+
 def test_op_involution():
     for m in range(4):
         for n in range(4):

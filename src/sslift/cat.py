@@ -8,6 +8,11 @@ of morphism identifiers joined by "|".
 The nerve of a category with a composable cycle of non-identity
 morphisms is infinite; such nerves are built up to a cap and marked
 truncated.  Categories without such cycles always get their full nerve.
+
+Nerves are built a degree at a time, each face of a chain looked up
+among the chains one degree down, and a nerve map's value on a chain
+extends its value on the chain's last face.  string_normal_form, which
+normalizes a whole chain, serves the cylinder homotopy instead.
 """
 
 from __future__ import annotations
@@ -210,9 +215,6 @@ class Functor:
         self.target = target
         self.object_map = {str(a): str(b) for a, b in object_map.items()}
         self.morphism_map = {str(f): str(g) for f, g in morphism_map.items()}
-
-    def on_morphism(self, m: str) -> str:
-        return self.morphism_map[m]
 
     def validate(self) -> None:
         """Check functoriality; source and target are taken as valid."""
@@ -579,6 +581,9 @@ class Nerve:
 
     Cells of degree n are composable chains of n non-identity arrows,
     identified by the arrow ids joined with "|"; vertices are the objects.
+    An inner face d_i composes arrows i and i+1 (1-indexed); where the
+    composite is an identity (only in a category with a cycle) the face
+    is s_{i-1} of the chain without both arrows.
     """
 
     def __init__(self, category: FiniteCategory, cap: int | None = None):
@@ -594,11 +599,12 @@ class Nerve:
             truncated = None if eff == bound else eff
         self.effective_cap = eff
         self.chains: dict[tuple[int, str], tuple[str, ...]] = {}
-        layers: dict[int, list[tuple[str, list[SimplexRef]]]] = {
-            0: [(o, []) for o in sorted(category.objects)]
-        }
-        for o in sorted(category.objects):
+        objects = sorted(category.objects)
+        layers: dict[int, list[tuple[str, list[SimplexRef]]]] = {0: [(o, []) for o in objects]}
+        for o in objects:
             self.chains[(0, o)] = ()
+        # the refs of the degree below, by chain (by object in degree 0)
+        below: dict = {o: SimplexRef(0, (), o) for o in objects}
         level: list[tuple[str, ...]] = [()]
         for n in range(1, eff + 1):
             grown: list[tuple[str, ...]] = []
@@ -612,40 +618,32 @@ class Nerve:
                             grown.append(chain + (m,))
             grown.sort(key=lambda ch: "|".join(ch))
             layer = []
+            refs: dict = {}
             for chain in grown:
                 cell_id = "|".join(chain)
                 self.chains[(n, cell_id)] = chain
-                layer.append((cell_id, self._face_list(chain)))
+                refs[chain] = SimplexRef(n, (), cell_id)
+                if n == 1:
+                    faces = [below[category.tgt(chain[0])], below[category.src(chain[0])]]
+                else:
+                    faces = [below[chain[1:]]]
+                    for i in range(1, n):
+                        comp = category.compose_pair(chain[i], chain[i - 1])
+                        if category.is_identity(comp):
+                            rest = "|".join(chain[: i - 1] + chain[i + 1 :])
+                            faces.append(SimplexRef(n - 1, (i - 1,), rest or category.src(chain[0])))
+                        else:
+                            faces.append(below[chain[: i - 1] + (comp,) + chain[i + 1 :]])
+                    faces.append(below[chain[:-1]])
+                layer.append((cell_id, faces))
             layers[n] = layer
-            level = grown
+            level, below = grown, refs
             if not grown:
                 break
         tags = {"nerve"}
         if not cyclic:
             tags.add("nerve-acyclic")
         self.sset = SimplicialSet(layers, truncated_at=truncated, tags=tags)
-
-    def _face_list(self, chain: tuple[str, ...]) -> list[SimplexRef]:
-        cat = self.category
-        n = len(chain)
-        if n == 1:
-            return [
-                SimplexRef(0, (), cat.tgt(chain[0])),
-                SimplexRef(0, (), cat.src(chain[0])),
-            ]
-        faces = []
-        for i in range(n + 1):
-            if i == 0:
-                faces.append(SimplexRef(n - 1, (), "|".join(chain[1:])))
-            elif i == n:
-                faces.append(SimplexRef(n - 1, (), "|".join(chain[:-1])))
-            else:
-                comp = cat.compose_pair(chain[i], chain[i - 1])
-                reduced = chain[: i - 1] + (comp,) + chain[i + 1 :]
-                faces.append(
-                    string_normal_form(cat, reduced, cat.src(chain[0]))
-                )
-        return faces
 
     def chain_of(self, r: SimplexRef) -> tuple[str, ...]:
         """The arrow chain (identities included) behind any simplex."""
@@ -688,25 +686,31 @@ def nerve_functor(
     """The map of nerves induced by a functor.
 
     The target nerve is rebuilt with a larger cap if its truncation would
-    not contain the image of the source nerve.
+    not contain the image of the source nerve.  A cell's value is the
+    value of its face d_n with the image h of its last arrow added: an
+    identity h puts n-1 in front of the word, any other h extends the
+    cell (or replaces a vertex).
     """
     src = nerve(f.source, cap)
     tgt = nerve(f.target, cap)
     need = src.sset.dimension
     if tgt.sset.truncated_at is not None and tgt.sset.truncated_at < need:
         tgt = nerve(f.target, need)
-    assignment: dict[int, dict[str, SimplexRef]] = {}
-    for n in src.sset.degrees():
-        layer = {}
-        for cell_id in src.sset.n_cells(n):
-            chain = src.chains[(n, cell_id)]
-            image = tuple(f.morphism_map[m] for m in chain)
-            if n == 0:
-                layer[cell_id] = SimplexRef(0, (), f.object_map[cell_id])
-            else:
-                source_obj = f.object_map[f.source.src(chain[0])]
-                layer[cell_id] = string_normal_form(f.target, image, source_obj)
-        assignment[n] = layer
+    assignment: dict[int, dict[str, SimplexRef]] = {
+        0: {o: SimplexRef(0, (), f.object_map[o]) for o in src.sset.n_cells(0)}
+    }
+    for n, cell_id, faces in src.sset.cell_items():
+        if n == 0:
+            continue
+        v = assignment[n - 1][faces[n].cell]
+        h = f.morphism_map[src.chains[(n, cell_id)][-1]]
+        if f.target.is_identity(h):
+            v = SimplexRef(n, (n - 1,) + v.word, v.cell)
+        elif v.cell_degree == 0:
+            v = SimplexRef(n, v.word, h)
+        else:
+            v = SimplexRef(n, v.word, f"{v.cell}|{h}")
+        assignment.setdefault(n, {})[cell_id] = v
     return SMap(src.sset, tgt.sset, assignment), src, tgt
 
 

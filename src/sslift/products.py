@@ -75,8 +75,6 @@ class PairedSSet:
         left_object, right_object = along.source, of.source
         if not (left_object.simplicial and right_object.simplicial):
             raise SimplicialError("pairs need simplicial factors")
-        self.along = along
-        self.of = of
         self.left_object = left_object
         self.right_object = right_object
         over: dict[SimplexRef, list[str]] = {}

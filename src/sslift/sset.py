@@ -133,11 +133,6 @@ class SimplicialSet:
         except (IndexError, KeyError):
             raise SimplicialError(f"no cell {cell_id!r} in degree {n}") from None
 
-    def cell_ref(self, n: int, cell_id: str) -> SimplexRef:
-        if not self.has_cell(n, cell_id):
-            raise SimplicialError(f"no cell {cell_id!r} in degree {n}")
-        return SimplexRef(n, (), cell_id)
-
     def cell_items(self) -> Iterator[tuple[int, str, tuple[SimplexRef, ...]]]:
         for n in self.degrees():
             for cell_id in self._order[n]:
@@ -420,11 +415,7 @@ def opposite(x: SimplicialSet) -> SimplicialSet:
     """Reverse the ordinal order: face i becomes face n-i, words reflect."""
     cells: dict[int, list[tuple[str, list[SimplexRef]]]] = {}
     for n, cell_id, faces in x.cell_items():
-        flipped = [
-            SimplexRef(f.degree, W.word_op(f.word, f.degree), f.cell)
-            for f in reversed(faces)
-        ]
-        cells.setdefault(n, []).append((cell_id, flipped))
+        cells.setdefault(n, []).append((cell_id, [op_ref(f) for f in reversed(faces)]))
     out = SimplicialSet(
         cells, simplicial=x.simplicial, truncated_at=x.truncated_at, tags=x.tags
     )
@@ -433,6 +424,10 @@ def opposite(x: SimplicialSet) -> SimplicialSet:
 
 
 def op_ref(r: SimplexRef) -> SimplexRef:
+    """r in the opposite: the same cell, the word reflected; a
+    nondegenerate r is returned as it is, so refs stay shared."""
+    if not r.word:
+        return r
     return SimplexRef(r.degree, W.word_op(r.word, r.degree), r.cell)
 
 

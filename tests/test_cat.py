@@ -114,8 +114,8 @@ def test_comma_of_identity_is_arrow_category(c4):
     cod.validate()
     # projections take a pair morphism to its legs
     for mid, (u, v) in arrow.comma_morphisms.items():
-        assert dom.on_morphism(mid) == u
-        assert cod.on_morphism(mid) == v
+        assert dom.morphism_map[mid] == u
+        assert cod.morphism_map[mid] == v
 
 
 def test_slice_is_contractible(c4):

@@ -127,10 +127,11 @@ def test_json_report_matches_golden_digest(argv, code, digest):
 
 
 # theorem-b on the identity of the chain poset [n]: the comma nerves
-# (351 and 2,879 cells) are larger than any fixture's
+# (351, 2,879 and 25,215 cells) are larger than any fixture's
 CHAIN_GOLDEN = [
     (3, "ac4497523507a3f30ca08e58440ef93512721b98ca6d4d6ba934885d28e10707"),
     (4, "6b1779ba162e248683f6b83b3519afe86d4002d6ae1608e03a995eca7129cc55"),
+    (5, "58aa5a67e8a639abca49a5d2f015b9ac8550aa4d89615c5efec5d931832ee6af"),
 ]
 
 

@@ -1,5 +1,8 @@
 """Transport of fiber homology along base edges, checked against sheet chases."""
 
+import gc
+import weakref
+
 import pytest
 
 from sslift.corpus import collapse_tower, double_cover
@@ -17,14 +20,14 @@ def chase(cover, obj, base_arrow, backward=False):
         hits = [
             f
             for f in cat.arrows_to(obj)
-            if not cat.is_identity(f) and cover.on_morphism(f) == base_arrow
+            if not cat.is_identity(f) and cover.morphism_map[f] == base_arrow
         ]
         assert len(hits) == 1
         return cat.src(hits[0])
     hits = [
         f
         for f in cat.arrows_from(obj)
-        if not cat.is_identity(f) and cover.on_morphism(f) == base_arrow
+        if not cat.is_identity(f) and cover.morphism_map[f] == base_arrow
     ]
     assert len(hits) == 1
     return cat.tgt(hits[0])
@@ -160,6 +163,20 @@ def test_vertex_fibers_are_kept_on_the_map(cover):
     assert second.source_profile is kept[1]
     # another map of the same functor keeps fibers of its own
     assert vertex_fiber(nerve_functor(cover)[0], a) is not kept
+
+
+def test_a_map_and_its_kept_fiber_die_without_the_cycle_collector(cover):
+    # a kept fiber holds no reference back to its map, so dropping the
+    # map frees both by reference counting alone
+    p = nerve_functor(cover)[0]
+    gc.disable()
+    try:
+        fib = vertex_fiber(p, SimplexRef(0, (), "a"))[0]
+        alive = (weakref.ref(p), weakref.ref(fib))
+        del p, fib
+        assert [ref() for ref in alive] == [None, None]
+    finally:
+        gc.enable()
 
 
 def test_transport_rejects_non_edges(cover_setup):

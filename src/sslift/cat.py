@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import words as W
 from .sset import SMap, SimplexRef, SimplicialError, SimplicialSet, ValidationError
 
 COMPOSE_SIGN = "∘"
@@ -577,10 +578,11 @@ def string_normal_form(cat: FiniteCategory, chain: tuple[str, ...], source_obj: 
 
 
 class Nerve:
-    """The nerve of a finite category, with the chain behind every cell.
+    """The nerve of a finite category.
 
     Cells of degree n are composable chains of n non-identity arrows,
-    identified by the arrow ids joined with "|"; vertices are the objects.
+    identified by the arrow ids joined with "|", so a cell id is its
+    chain (chain_of reads it back); vertices are the objects.
     An inner face d_i composes arrows i and i+1 (1-indexed); where the
     composite is an identity (only in a category with a cycle) the face
     is s_{i-1} of the chain without both arrows.
@@ -597,12 +599,8 @@ class Nerve:
         else:
             eff = bound if cap is None else min(cap, bound)
             truncated = None if eff == bound else eff
-        self.effective_cap = eff
-        self.chains: dict[tuple[int, str], tuple[str, ...]] = {}
         objects = sorted(category.objects)
         layers: dict[int, list[tuple[str, list[SimplexRef]]]] = {0: [(o, []) for o in objects]}
-        for o in objects:
-            self.chains[(0, o)] = ()
         # the refs of the degree below, by chain (by object in degree 0)
         below: dict = {o: SimplexRef(0, (), o) for o in objects}
         level: list[tuple[str, ...]] = [()]
@@ -621,7 +619,6 @@ class Nerve:
             refs: dict = {}
             for chain in grown:
                 cell_id = "|".join(chain)
-                self.chains[(n, cell_id)] = chain
                 refs[chain] = SimplexRef(n, (), cell_id)
                 if n == 1:
                     faces = [below[category.tgt(chain[0])], below[category.src(chain[0])]]
@@ -646,26 +643,19 @@ class Nerve:
         self.sset = SimplicialSet(layers, truncated_at=truncated, tags=tags)
 
     def chain_of(self, r: SimplexRef) -> tuple[str, ...]:
-        """The arrow chain (identities included) behind any simplex."""
-        base = self.chains[(r.cell_degree, r.cell)]
+        """The arrow chain (identities included) behind any simplex; a
+        cell's chain is its id split on "|", a vertex's is empty."""
+        base = tuple(r.cell.split("|")) if r.cell_degree else ()
         if not r.word:
             return base
-        from . import words as W
-
+        c = self.category
+        # the objects along the cell's chain; surj repeats them
+        objs = [c.src(base[0])] + [c.tgt(m) for m in base] if base else [r.cell]
         surj = W.word_to_map(r.word, r.degree)
-        if r.cell_degree == 0:
-            start = r.cell
-            objs = [start] * (r.degree + 1)
-        else:
-            objs = [self.category.src(base[0])] + [self.category.tgt(m) for m in base]
-            objs = [objs[surj[i]] for i in range(r.degree + 1)]
         out = []
         for i in range(1, r.degree + 1):
             a, b = surj[i - 1], surj[i]
-            if a == b:
-                out.append(self.category.identity_of(objs[i]))
-            else:
-                out.append(base[a])
+            out.append(c.identity_of(objs[a]) if a == b else base[a])
         return tuple(out)
 
 
@@ -703,7 +693,7 @@ def nerve_functor(
         if n == 0:
             continue
         v = assignment[n - 1][faces[n].cell]
-        h = f.morphism_map[src.chains[(n, cell_id)][-1]]
+        h = f.morphism_map[cell_id.rpartition("|")[2]]
         if f.target.is_identity(h):
             v = SimplexRef(n, (n - 1,) + v.word, v.cell)
         elif v.cell_degree == 0:

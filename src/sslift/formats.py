@@ -205,7 +205,8 @@ def sset_from_json(doc) -> SimplicialSet:
     simplicial = _need(doc, "simplicial", bool, "$")
     raw_cells = _need(doc, "cells", dict, "$")
     truncated = doc.get("truncated_at")
-    if truncated is not None and (not isinstance(truncated, int) or truncated < 0):
+    # bool is a subclass of int, so true and false need their own refusal
+    if truncated is not None and (type(truncated) is not int or truncated < 0):
         raise FormatError("$.truncated_at", "expected a nonnegative integer")
     tags = doc.get("tags", [])
     if not (isinstance(tags, list) and all(isinstance(t, str) for t in tags)):

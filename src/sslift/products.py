@@ -5,7 +5,8 @@ of degenerate simplices (s_a x, s_b y) of the factors with disjoint
 degeneracy words a and b and the same image in B.  One join on those
 images builds every paired object: a product is the pullback over a
 point, and the fiber over a simplex is the pullback along its
-classifying map.  Faces are computed componentwise and renormalized
+classifying map, so all fibers of a map read one index of its cells,
+kept on the map.  Faces are computed componentwise and renormalized
 jointly, so the result is again presented by nondegenerate cells only.
 """
 
@@ -21,6 +22,7 @@ from .sset import (
     SimplicialSet,
     classifying_map,
     image_of_ref,
+    kept,
     terminal_map,
 )
 
@@ -58,15 +60,26 @@ def _pair_id(left: SimplexRef, right: SimplexRef) -> str:
     )
 
 
+@kept
+def cells_by_value(of: SMap) -> dict[SimplexRef, list[str]]:
+    """The source's nondegenerate cells grouped by their value, kept on of."""
+    over: dict[SimplexRef, list[str]] = {}
+    for q in of.source.degrees():
+        for y in of.source.n_cells(q):
+            over.setdefault(of.value(q, y), []).append(y)
+    return over
+
+
 class PairedSSet:
     """Level-wise pullback of a cospan along: L -> B <- R :of.
 
-    The right factor's nondegenerate cells are indexed once by their
-    value in B.  Every degenerate simplex s_a x of the left factor then
-    has a base image z, and a compatible partner s_b y, with b disjoint
-    from a, exists exactly when b is drawn from the collapses of z and
-    y's value is z with the collapses b taken out.  Over a point every
-    word pair passes and the join yields the Eilenberg-Zilber shuffles.
+    The right factor's cells are indexed by their value in B once per
+    map, kept on of (cells_by_value).  Every degenerate simplex s_a x of
+    the left factor then has a base image z, and a compatible partner
+    s_b y, with b disjoint from a, exists exactly when b is drawn from
+    the collapses of z and y's value is z with the collapses b taken
+    out.  Over a point every word pair passes and the join yields the
+    Eilenberg-Zilber shuffles.
     """
 
     def __init__(self, along: SMap, of: SMap):
@@ -77,15 +90,12 @@ class PairedSSet:
             raise SimplicialError("pairs need simplicial factors")
         self.left_object = left_object
         self.right_object = right_object
-        over: dict[SimplexRef, list[str]] = {}
-        for q in right_object.degrees():
-            for y in right_object.n_cells(q):
-                over.setdefault(of.value(q, y), []).append(y)
+        over = cells_by_value(of)
         self.components: dict[tuple[int, str], tuple[SimplexRef, SimplexRef]] = {}
         self._ids: dict[tuple[SimplexRef, SimplexRef], str] = {}
         top = right_object.dimension
         bound = max(left_object.dimension + top, -1)
-        layers: dict[int, list[tuple[str, tuple[SimplexRef, SimplexRef]]]] = {}
+        cells: dict[int, list[tuple[str, list[SimplexRef]]]] = {}
         for n in range(bound + 1):
             least = max(n - top, 0)  # collapses the right side needs at least
             found: list[tuple[str, tuple[SimplexRef, SimplexRef]]] = []
@@ -103,24 +113,15 @@ class PairedSSet:
                                     rref = SimplexRef(n, b, y)
                                     found.append((_pair_id(lref, rref), (lref, rref)))
             found.sort(key=lambda item: item[0])
-            layers[n] = found
             for cell_id, pair in found:
                 self.components[(n, cell_id)] = pair
                 self._ids[pair] = cell_id
-        cells: dict[int, list[tuple[str, list[SimplexRef]]]] = {}
-        for n, found in layers.items():
-            layer = []
-            for cell_id, (lref, rref) in found:
-                faces = []
-                for i in range(n + 1):
-                    if n == 0:
-                        break
-                    u = left_object.face(lref, i)
-                    v = right_object.face(rref, i)
-                    common, nu, nv = joint_normal_form(u, v)
-                    faces.append(SimplexRef(n - 1, common, self._ids[(nu, nv)]))
-                layer.append((cell_id, faces))
-            cells[n] = layer
+            # the faces are pairs one degree down, all registered by now
+            cells[n] = [
+                (cell_id, [self.pair_ref(left_object.face(lref, i), right_object.face(rref, i))
+                           for i in (range(n + 1) if n else ())])
+                for cell_id, (lref, rref) in found
+            ]
         trunc = None
         for t in (left_object.truncated_at, right_object.truncated_at):
             if t is not None:

@@ -17,8 +17,9 @@ objects only support face structure and are accepted by the homology
 backend.
 
 Data derived from an object or a map (its refs, its opposite, the
-lifting tables, a map's vertex fibers) is built on first use and kept
-on its owner by kept, so it lives exactly as long as the owner does.
+lifting tables, a map's cells by value and its vertex fibers) is built
+on first use and kept on its owner by kept, so it lives exactly as long
+as the owner does.
 """
 
 from __future__ import annotations

@@ -174,7 +174,8 @@ def theorem_b_report(f: Functor, cap: int | None = None) -> TheoremBReport:
             == retract_map.value(n, cell)
             and _homotopy_value(unit, chain, cell, (1,) * (n + 1))
             == SimplexRef(n, (), cell)
-            for (n, cell), chain in comma_nerve.chains.items()
+            for n, cell, _ in comma_nerve.sset.cell_items()
+            for chain in [comma_nerve.chain_of(SimplexRef(n, (), cell))]
         )
 
     if not fibration.inner.certified:

@@ -194,6 +194,24 @@ def test_bad_word_or_cap_is_a_one_line_input_error(capsys, argv):
     assert_one_line_input_error(capsys, argv)
 
 
+@pytest.mark.parametrize("flag", [True, False])
+@pytest.mark.parametrize(
+    "name, command, path",
+    [("circle.ssx", "homology", "$"), ("double_cover.ssx", "certify", "$.source")],
+)
+def test_a_boolean_truncation_is_a_one_line_input_error(
+    capsys, tmp_path, flag, name, command, path
+):
+    # bool is a subclass of int, yet true is no degree
+    doc = json.loads(fx(name).read_text())
+    sset_doc = doc if path == "$" else doc["source"]
+    sset_doc["truncated_at"] = flag
+    bad = tmp_path / name
+    bad.write_text(json.dumps(doc))
+    err = assert_one_line_input_error(capsys, ("--json", command, bad))
+    assert f"{path}.truncated_at: expected a nonnegative integer" in err
+
+
 def test_a_non_decreasing_word_is_named_in_the_input_error(capsys):
     err = assert_one_line_input_error(
         capsys, ("fibers", fx("double_cover.ssx"), "--simplex", '["0,1","a"]')

@@ -56,15 +56,18 @@ def ref_value(f: Functor, src: Nerve, n: int, cell_id: str) -> SimplexRef:
     """The image of a chain: the normal form of its arrows' images."""
     if n == 0:
         return SimplexRef(0, (), f.object_map[cell_id])
-    chain = src.chains[(n, cell_id)]
+    chain = src.chain_of(SimplexRef(n, (), cell_id))
     image = tuple(f.morphism_map[m] for m in chain)
     return string_normal_form(f.target, image, f.object_map[f.source.src(chain[0])])
 
 
 def assert_faces_match(nv: Nerve) -> None:
     for n, cell_id, faces in nv.sset.cell_items():
+        chain = nv.chain_of(SimplexRef(n, (), cell_id))
+        # the cell id is the chain, and a vertex has the empty chain
+        assert (chain == () if n == 0 else "|".join(chain) == cell_id), (n, cell_id)
         if n:
-            assert list(faces) == ref_faces(nv, nv.chains[(n, cell_id)]), (n, cell_id)
+            assert list(faces) == ref_faces(nv, chain), (n, cell_id)
 
 
 def assert_values_match(f: Functor, cap=None) -> None:

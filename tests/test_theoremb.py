@@ -147,8 +147,10 @@ def test_direct_ends_match_the_cylinder(name):
             assert not lref.word
             from_cylinder[(int(levels.pop()), n, lref.cell)] = h.value(n, cell_id)
     direct = {
-        (level, n, c): _homotopy_value(unit, chain, c, (level,) * (n + 1))
-        for (n, c), chain in comma_nerve.chains.items()
+        (level, n, c): _homotopy_value(
+            unit, comma_nerve.chain_of(SimplexRef(n, (), c)), c, (level,) * (n + 1)
+        )
+        for n, c, _ in comma_nerve.sset.cell_items()
         for level in (0, 1)
     }
     assert direct == from_cylinder

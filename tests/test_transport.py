@@ -9,6 +9,7 @@ from sslift.corpus import collapse_tower, double_cover
 from sslift.cat import nerve_functor
 from sslift.homology import IntMatrix
 from sslift.lifting import certify_fibration_class
+from sslift.products import Fiber
 from sslift.sset import SimplexRef, SimplicialError
 from sslift.transport import transport_homology, vertex_fiber
 
@@ -163,6 +164,25 @@ def test_vertex_fibers_are_kept_on_the_map(cover):
     assert second.source_profile is kept[1]
     # another map of the same functor keeps fibers of its own
     assert vertex_fiber(nerve_functor(cover)[0], a) is not kept
+
+
+def test_fibers_of_a_map_share_one_index_of_its_cells(cover):
+    p = nerve_functor(cover)[0]
+    calls = []
+    value = p.value
+
+    def counted(n, cell_id):
+        calls.append((n, cell_id))
+        return value(n, cell_id)
+
+    p.value = counted
+    Fiber(p, SimplexRef(1, (), "a<x"))
+    assert len(calls) == p.source.total_cells()
+    calls.clear()
+    # a second fiber, over a vertex or an edge, reads the kept index
+    vertex_fiber(p, SimplexRef(0, (), "a"))
+    Fiber(p, SimplexRef(1, (), "a<y"))
+    assert calls == []
 
 
 def test_a_map_and_its_kept_fiber_die_without_the_cycle_collector(cover):

@@ -3,7 +3,8 @@
 For F: C -> D, the comma category F/D projects to D, and that
 projection's nerve is certified as a cocartesian fibration.  The
 hypothesis under test: transporting fiber homology forward along every
-edge of the nerve of D (degenerate edges included) is an isomorphism.
+edge of the nerve of D is an isomorphism (each degenerate edge is the
+identity transport).
 When it holds, the report verifies the downstream conclusions on the
 finite instance:
 
@@ -74,7 +75,7 @@ class TheoremBReport:
             if self.failing_edge is None
             else self.failing_edge.to_json(),
             "transports": [
-                {"edge": g.to_json(), "iso": t.is_iso if t.leg_invertible else False}
+                {"edge": g.to_json(), "iso": t.is_iso}
                 for g, t in self.transports
             ],
             "vertex_fibers": {

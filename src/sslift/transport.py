@@ -6,7 +6,10 @@ the edge fiber.  When the target-vertex leg induces isomorphisms on
 homology, the forward transport exists: it is the composite
 (target leg)^{-1} o (source leg), computed per degree by solving linear
 systems over the presented groups.  The backward transport inverts the
-source-vertex leg instead.
+source-vertex leg instead.  Along a degenerate edge s_0 v both legs are
+sections of the projection F_v x Delta^1 -> F_v, so the transport is
+the identity on the homology of the fiber over v, and no fiber over the
+edge is built.
 
 Transports compose: the matrices along a path of edges multiply, so
 monodromy around loops is an honest integer matrix in the chosen
@@ -46,10 +49,7 @@ class TransportResult:
     edge: SimplexRef
     backward: bool
     source_profile: HomologyProfile
-    edge_profile: HomologyProfile
     target_profile: HomologyProfile
-    source_leg: InducedHomology
-    target_leg: InducedHomology
     leg_invertible: bool
     matrices: list[IntMatrix] | None
     iso_flags: list[bool]
@@ -80,7 +80,7 @@ class TransportResult:
             if self.matrices is None
             else [m.to_lists() for m in self.matrices],
             "iso_by_degree": list(self.iso_flags),
-            "iso": self.is_iso if self.leg_invertible else False,
+            "iso": self.is_iso,
             "certificate_status": self.certificate_status,
         }
 
@@ -190,18 +190,32 @@ def transport_homology(
     """Move fiber homology along an edge of the base of p.
 
     Vertex fibers are kept on p (vertex_fiber), so matrices along
-    composable edges share generator bases.  The certificate, when
-    given, is the caller's record of whether the relevant lifting class
-    (cartesian backward, cocartesian forward) held, and its status is
-    reported; the transport itself only needs the inverted leg to be a
-    homology isomorphism.
+    composable edges share generator bases.  Along a degenerate edge
+    s_0 v the transport is the identity on the homology of the kept
+    fiber over v, and no fiber over the edge is built.  The certificate,
+    when given, is the caller's record of whether the relevant lifting
+    class (cartesian backward, cocartesian forward) held, and its status
+    is reported; the transport itself only needs the inverted leg to be
+    a homology isomorphism.
     """
     p.target.resolve(edge)
     if edge.degree != 1:
         raise SimplicialError("transport wants an edge of the base")
     status = certificate.status if certificate is not None else None
 
-    prof_edge, leg_src, leg_tgt = vertex_legs(p, edge)
+    if edge.word:
+        prof = vertex_fiber(p, SimplexRef(0, (), edge.cell))[1]
+        top = len(prof.groups)
+        if prof.truncated_at is None and prof.groups:
+            top += 1  # F_v x Delta^1 has one degree more, where both are 0
+        matrices = [
+            IntMatrix.identity(len(prof.group(k).orders)) for k in range(top)
+        ]
+        return TransportResult(
+            edge, backward, prof, prof, True, matrices, [True] * top, status
+        )
+
+    _, leg_src, leg_tgt = vertex_legs(p, edge)
     invert, push = (leg_src, leg_tgt) if backward else (leg_tgt, leg_src)
     invertible = invert.is_iso
     matrices: list[IntMatrix] | None = None
@@ -212,10 +226,7 @@ def transport_homology(
         edge,
         backward,
         push.source,
-        prof_edge,
         invert.source,
-        leg_src,
-        leg_tgt,
         invertible,
         matrices,
         flags,

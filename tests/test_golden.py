@@ -1,7 +1,7 @@
 """Golden outputs: sha256 digests of the --json reports on the fixtures.
 
 The digests pin the exact bytes (and exit codes) of `fibers`,
-`transport`, `ltg-check`, `theorem-b` (on the functor fixtures and on
+`transport` (along degenerate edges too), `ltg-check`, `theorem-b` (on the functor fixtures and on
 the identities of chain[3] and chain[4]) and `certify` (on every map
 fixture, at the default cap and at caps 2-4, which fixes witnesses and
 problem counts), so that a change in how the reports are built cannot
@@ -53,6 +53,10 @@ GOLDEN = [
      "2946c5e006be39f09eb78788bb7996baf66aeb6d6172129d855f76d4aa890fb4"),
     (("transport", "cylinder_proj.ssx", "--edge", "0.1", "--backward"), 0,
      "19612cde258b4f2f25624fa42fc605550df344b74852da163e2d8187b45fc291"),
+    (("transport", "double_cover.ssx", "--edge", '["0","a"]'), 0,
+     "8df7a5a5fe67400cf994ce5f0148e9770cc359c81e100bfc1d4912e64b050503"),
+    (("transport", "cylinder_proj.ssx", "--edge", '["0","0"]', "--backward"), 0,
+     "f3694561d33c53df50d234852b31e6db88b7addfab25a0951789afd069a145e0"),
     (("ltg-check", "--cospan", "interval_vertex.ssx", "cylinder_proj.ssx"), 0,
      "e2ccb956999559145284657a557c29a4e0c03c3ed35ba077085b3a544d9ecf57"),
     (("ltg-check", "--cospan", "edge_into_circle.ssx", "double_cover.ssx"), 0,

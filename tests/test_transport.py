@@ -1,17 +1,30 @@
 """Transport of fiber homology along base edges, checked against sheet chases."""
 
 import gc
+import random
 import weakref
+from pathlib import Path
 
 import pytest
 
-from sslift.corpus import collapse_tower, double_cover
-from sslift.cat import nerve_functor
+from sslift.corpus import collapse_tower, double_cover, random_poset, random_poset_functor
+from sslift.cat import (
+    chain_poset,
+    comma_category,
+    cyclic_group_category,
+    identity_functor,
+    nerve,
+    nerve_functor,
+)
+from sslift.formats import load_path
 from sslift.homology import IntMatrix
 from sslift.lifting import certify_fibration_class
-from sslift.products import Fiber
-from sslift.sset import SimplexRef, SimplicialError
-from sslift.transport import transport_homology, vertex_fiber
+from sslift.products import Fiber, Product
+from sslift.sset import SMap, SimplexRef, SimplicialError, standard_simplex, terminal_map
+from sslift.theoremb import theorem_b_report
+from sslift.transport import _divide_leg, transport_homology, vertex_fiber, vertex_legs
+
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def chase(cover, obj, base_arrow, backward=False):
@@ -113,6 +126,91 @@ def test_degenerate_edge_transports_identically(cover_setup):
     res = transport_homology(p, SimplexRef(1, (0,), "a"))
     assert res.is_iso
     assert res.matrix(0) == IntMatrix.identity(2)
+
+
+def legs_transport_json(p, edge, backward):
+    """The transport along edge computed from the fiber over the edge and
+    its two vertex legs: the general path, which degenerate edges skip."""
+    _, leg_src, leg_tgt = vertex_legs(p, edge)
+    invert, push = (leg_src, leg_tgt) if backward else (leg_tgt, leg_src)
+    matrices, flags = _divide_leg(invert, push) if invert.is_iso else (None, [])
+    return {
+        "edge": edge.to_json(),
+        "backward": backward,
+        "source": push.source.to_json(),
+        "target": invert.source.to_json(),
+        "leg_invertible": invert.is_iso,
+        "matrices": None if matrices is None else [m.to_lists() for m in matrices],
+        "iso_by_degree": flags,
+        "iso": invert.is_iso and all(flags),
+        "certificate_status": None,
+    }
+
+
+def fixture_maps():
+    maps = (load_path(str(path)) for path in sorted(FIXTURES.glob("*.ssx")))
+    return [m for m in maps if isinstance(m, SMap)]
+
+
+def comma_projections():
+    """Both nerve maps out of the comma categories of 30 random poset
+    functors, at caps None, 2 and 3."""
+    rng = random.Random(20261019)
+    maps = []
+    made = 0
+    while made < 30:
+        c = random_poset(rng, rng.randint(1, 4))
+        d = random_poset(rng, rng.randint(1, 3))
+        try:
+            f = random_poset_functor(rng, c, d)
+        except ValueError:
+            continue
+        made += 1
+        _, to_c, to_d = comma_category(f)
+        for cap in (None, 2, 3):
+            maps += [nerve_functor(to_d, cap)[0], nerve_functor(to_c, cap)[0]]
+    return maps
+
+
+def cyclic_maps():
+    """Z/n nerves at caps 2-5, with torsion in their homology and a
+    truncated top, as terminal maps and as product projections."""
+    maps = []
+    for n in (2, 3, 4):
+        for cap in (2, 3, 4, 5):
+            x = nerve(cyclic_group_category(n), cap).sset
+            pair = Product(x, standard_simplex(1))
+            maps += [terminal_map(x), pair.to_left, pair.to_right]
+    return maps
+
+
+@pytest.mark.parametrize("family", [fixture_maps, comma_projections, cyclic_maps])
+def test_degenerate_edges_transport_as_their_legs_do(family):
+    seen = 0
+    for p in family():
+        for edge in p.target.refs(1):
+            if not edge.word:
+                continue
+            for backward in (False, True):
+                got = transport_homology(p, edge, backward=backward).to_json()
+                assert got == legs_transport_json(p, edge, backward), (edge, backward)
+                seen += 1
+    assert seen
+
+
+def test_theorem_b_builds_no_fiber_over_a_degenerate_simplex(monkeypatch):
+    built = []
+    init = Fiber.__init__
+
+    def counted(self, p, simplex):
+        built.append(simplex)
+        init(self, p, simplex)
+
+    monkeypatch.setattr(Fiber, "__init__", counted)
+    report = theorem_b_report(identity_functor(chain_poset(3)))
+    assert report.status == "verified"
+    assert any(g.word for g, _ in report.transports)
+    assert built and all(not s.word for s in built)
 
 
 def test_backward_undoes_forward(cover_setup):

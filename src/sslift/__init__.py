@@ -50,7 +50,6 @@ from .homology import (
     SmithForm,
     TruncationError,
     chain_complex,
-    chain_map,
     euler_characteristic,
     induced_homology,
     is_group_iso,

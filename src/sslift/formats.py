@@ -17,6 +17,8 @@ files; both are UTF-8 JSON with a "kind" discriminator:
 A face or assignment entry is a pair [word, cell]: the degeneracy word
 as a comma-separated strictly decreasing string ("" when empty, "2,0"
 and the like otherwise) and the identifier of a nondegenerate cell.
+Degree keys and word indices are canonical ASCII decimals (no sign,
+leading zero or space), so no two keys name one degree.
 An sset document may carry "truncated_at" when only an initial segment
 of an infinite object is listed, and "tags" (a sorted list of strings,
 e.g. marking nerves) which feed the certification cap defaults.
@@ -172,6 +174,13 @@ def _parse_ref(entry, degree: int, path: str) -> SimplexRef:
     return SimplexRef(degree, word, entry[1])
 
 
+def _degree(key: str, path: str) -> int:
+    n = W.canonical_int(key)
+    if n is None or n < 0:
+        raise FormatError(path, "degree keys must be canonical decimal strings")
+    return n
+
+
 def _ref_json(r: SimplexRef) -> list[str]:
     return [W.word_string(r.word), r.cell]
 
@@ -214,9 +223,7 @@ def sset_from_json(doc) -> SimplicialSet:
     cells: dict[int, list[tuple[str, list[SimplexRef]]]] = {}
     for key, layer in raw_cells.items():
         path = f"$.cells.{key}"
-        if not key.isdigit():
-            raise FormatError(path, "degree keys must be decimal strings")
-        n = int(key)
+        n = _degree(key, path)
         if not isinstance(layer, list):
             raise FormatError(path, "expected a list of cells")
         parsed = []
@@ -280,9 +287,7 @@ def smap_from_json(doc) -> SMap:
     assignment: dict[int, dict[str, SimplexRef]] = {}
     for key, layer in raw.items():
         path = f"$.assignment.{key}"
-        if not key.isdigit():
-            raise FormatError(path, "degree keys must be decimal strings")
-        n = int(key)
+        n = _degree(key, path)
         if not isinstance(layer, dict):
             raise FormatError(path, "expected an object of cell assignments")
         assignment[n] = {

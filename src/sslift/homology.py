@@ -98,24 +98,23 @@ class IntMatrix:
         return [row[:] for row in self.data]
 
 
-def _smith_tracked(m: IntMatrix, u: bool = True, v: bool = True, u_inv: bool = True):
-    """Smith normal form with the transforms asked for.
+def _smith_tracked(m: IntMatrix, v: bool = True, u_inv: bool = True):
+    """Smith normal form with u and the other transforms asked for.
 
     Returns (d, u, v, u_inv) with u @ m @ v == d, u and v unimodular,
-    and d diagonal with a divisibility chain; a transform not asked for
+    and d diagonal with a divisibility chain; v or u_inv not asked for
     is None.  The pivot sequence, and so d, does not depend on which
     transforms are tracked.
     """
     a = m.copy()
     rows, cols = a.rows, a.cols
-    tu = IntMatrix.identity(rows) if u else None
+    tu = IntMatrix.identity(rows)
     tuinv = IntMatrix.identity(rows) if u_inv else None
     tv = IntMatrix.identity(cols) if v else None
 
     def row_swap(i, j):
         a.data[i], a.data[j] = a.data[j], a.data[i]
-        if tu is not None:
-            tu.data[i], tu.data[j] = tu.data[j], tu.data[i]
+        tu.data[i], tu.data[j] = tu.data[j], tu.data[i]
         if tuinv is not None:
             for r in tuinv.data:
                 r[i], r[j] = r[j], r[i]
@@ -130,8 +129,7 @@ def _smith_tracked(m: IntMatrix, u: bool = True, v: bool = True, u_inv: bool = T
     def row_add(i, j, c):
         # row_i += c * row_j
         a.data[i] = [x + c * y for x, y in zip(a.data[i], a.data[j])]
-        if tu is not None:
-            tu.data[i] = [x + c * y for x, y in zip(tu.data[i], tu.data[j])]
+        tu.data[i] = [x + c * y for x, y in zip(tu.data[i], tu.data[j])]
         if tuinv is not None:
             for r in tuinv.data:
                 r[j] -= c * r[i]
@@ -146,8 +144,7 @@ def _smith_tracked(m: IntMatrix, u: bool = True, v: bool = True, u_inv: bool = T
 
     def row_negate(i):
         a.data[i] = [-x for x in a.data[i]]
-        if tu is not None:
-            tu.data[i] = [-x for x in tu.data[i]]
+        tu.data[i] = [-x for x in tu.data[i]]
         if tuinv is not None:
             for r in tuinv.data:
                 r[i] = -r[i]
@@ -244,6 +241,10 @@ class SmithForm:
         if any(ub[len(self.diagonal):]):
             return None
         return self.v.mul_vec(y)
+
+    def onto(self) -> bool:
+        """Whether a maps onto Z^rows: a unit on the diagonal in every row."""
+        return len(self.diagonal) == self.u.rows and all(abs(d) == 1 for d in self.diagonal)
 
     def kernel(self) -> IntMatrix:
         """Columns spanning the integer kernel of a."""
@@ -498,6 +499,8 @@ class HomologyGroup:
     def coordinates(self, cycle: list[int]) -> list[int] | None:
         """Coordinates of a cycle in the kept generator basis, reduced;
         None when the chain is not a cycle."""
+        if self._cycles is None:  # a degree past its profile: no cells
+            return None if any(cycle) else []
         red = self._reduction
         if red is not None:
             if any(red.original.boundary(self.degree).mul_vec(cycle)):
@@ -545,7 +548,7 @@ class HomologyProfile:
     def group(self, k: int) -> HomologyGroup:
         if 0 <= k < len(self.groups):
             return self.groups[k]
-        return _trivial_group(k, 0)
+        return HomologyGroup(k, 0, [], IntMatrix(0, 0), [])
 
     def invariants(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
         return tuple(g.invariants() for g in self.groups)
@@ -562,19 +565,6 @@ class HomologyProfile:
             self.group(k).invariants() == other.group(k).invariants()
             for k in range(top)
         )
-
-
-def _trivial_group(degree: int, rank_cells: int) -> HomologyGroup:
-    return HomologyGroup(
-        degree,
-        0,
-        [],
-        IntMatrix(rank_cells, 0),
-        [],
-        _cycles=SmithForm(IntMatrix(rank_cells, 0)),
-        _transform=IntMatrix.identity(0),
-        _orders_full=[],
-    )
 
 
 def homology_of_reduction(red: Reduction, top: int | None = None) -> HomologyProfile:
@@ -643,31 +633,17 @@ def homology(x: SimplicialSet) -> HomologyProfile:
 # -- induced maps -------------------------------------------------------------
 
 
-def chain_map(f: SMap) -> list[IntMatrix]:
-    """Matrices of the induced map on normalized chains, degree by degree."""
-    src, tgt = f.source, f.target
-    top = max(src.dimension, tgt.dimension)
-    out = []
-    for k in range(top + 1):
-        src_cells = src.n_cells(k)
-        tgt_index = {c: i for i, c in enumerate(tgt.n_cells(k))}
-        m = IntMatrix(len(tgt_index), len(src_cells))
-        for j, cell_id in enumerate(src_cells):
-            image = f.value(k, cell_id)
-            if not image.word:
-                m.data[tgt_index[image.cell]][j] = 1
-        out.append(m)
-    return out
-
-
 @dataclass
 class InducedHomology:
-    """An induced map in homology, in the chosen generator bases."""
+    """An induced map in homology, in the chosen generator bases.  forms[k]
+    factors target.group(k).with_relations(matrices[k]) where the invariants
+    agree (None elsewhere); iso_flags[k] is read off it."""
 
     source: HomologyProfile
     target: HomologyProfile
     matrices: list[IntMatrix]
     iso_flags: list[bool]
+    forms: list[SmithForm | None]
 
     @property
     def is_iso(self) -> bool:
@@ -694,11 +670,7 @@ def is_group_iso(
     between isomorphic groups is an isomorphism."""
     if source.invariants() != target.invariants():
         return False
-    r = len(target.orders)
-    d = _smith_tracked(target.with_relations(matrix), u=False, v=False, u_inv=False)[0]
-    invariant = [d.data[i][i] for i in range(min(d.rows, d.cols))]
-    rank = sum(1 for val in invariant if val)
-    return rank == r and all(abs(val) == 1 for val in invariant[:rank])
+    return SmithForm(target.with_relations(matrix)).onto()
 
 
 def induced_homology(
@@ -706,27 +678,41 @@ def induced_homology(
     source_profile: HomologyProfile | None = None,
     target_profile: HomologyProfile | None = None,
 ) -> InducedHomology:
+    """The map f induces on homology: each source generator is pushed
+    through f.value onto the target's cells (a degenerate image
+    contributes 0) and expressed in the target's generators."""
     src = source_profile if source_profile is not None else homology(f.source)
     tgt = target_profile if target_profile is not None else homology(f.target)
-    chains = chain_map(f)
-    top = max(len(src.groups), len(tgt.groups))
-    matrices = []
-    flags = []
-    for k in range(top):
-        sg = src.group(k)
-        tg = tgt.group(k)
-        m = chains[k] if k < len(chains) else IntMatrix(tg.gens.rows, sg.gens.rows)
+    matrices, flags, forms = [], [], []
+    for k in range(max(len(src.groups), len(tgt.groups))):
+        if k >= len(tgt.groups) and tgt.truncated_at is not None:
+            raise TruncationError(
+                f"target truncated at degree {tgt.truncated_at}: "
+                f"the induced map in degree {k} is not determined"
+            )
+        sg, tg = src.group(k), tgt.group(k)
+        cells = f.source.n_cells(k)
+        index = {c: i for i, c in enumerate(f.target.n_cells(k))}
         cols = []
-        for col in sg.gens.columns():
-            image = m.mul_vec(col)
+        for gen in sg.gens.columns():
+            image = [0] * len(index)
+            for c, cell_id in zip(gen, cells):
+                if c:
+                    ref = f.value(k, cell_id)
+                    if not ref.word:
+                        image[index[ref.cell]] += c
             coords = tg.coordinates(image)
             if coords is None:
                 raise SimplicialError("image of a cycle is not a cycle")
             cols.append(coords)
         matrix = IntMatrix.from_columns(len(tg.orders), cols)
+        form = None
+        if sg.invariants() == tg.invariants():
+            form = SmithForm(tg.with_relations(matrix))
         matrices.append(matrix)
-        flags.append(is_group_iso(sg, tg, matrix))
-    return InducedHomology(src, tgt, matrices, flags)
+        flags.append(form is not None and form.onto())
+        forms.append(form)
+    return InducedHomology(src, tgt, matrices, flags, forms)
 
 
 # -- point-set style invariants ----------------------------------------------

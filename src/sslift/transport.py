@@ -4,8 +4,8 @@ An edge g of the base spans three fibers: over its source vertex, over
 its target vertex, and over g itself.  Both vertex fibers include into
 the edge fiber.  When the target-vertex leg induces isomorphisms on
 homology, the forward transport exists: it is the composite
-(target leg)^{-1} o (source leg), computed per degree by solving linear
-systems over the presented groups.  The backward transport inverts the
+(target leg)^{-1} o (source leg), solved per degree with the Smith form
+the inverted leg's induced map already holds.  The backward transport inverts the
 source-vertex leg instead.  Along a degenerate edge s_0 v both legs are
 sections of the projection F_v x Delta^1 -> F_v, so the transport is
 the identity on the homology of the fiber over v, and no fiber over the
@@ -32,12 +32,10 @@ from .homology import (
     HomologyProfile,
     InducedHomology,
     IntMatrix,
-    SmithForm,
     TruncationError,
     euler_characteristic,
     homology,
     induced_homology,
-    is_group_iso,
     pi0,
 )
 from .products import Fiber
@@ -88,30 +86,24 @@ class TransportResult:
 def _divide_leg(
     leg: InducedHomology, push: InducedHomology
 ) -> tuple[list[IntMatrix], list[bool]]:
-    """Matrices T with leg o T = push, degree by degree, plus iso flags."""
+    """Matrices T with leg o T = push, degree by degree, plus iso flags.
+
+    leg is an isomorphism, so each T is solved with the Smith form leg
+    already holds, and T is an isomorphism exactly where push is.
+    """
     matrices = []
-    flags = []
-    top = max(len(push.matrices), len(leg.matrices))
-    for k in range(top):
-        mid = leg.target.group(k)
-        src = push.source.group(k)
+    for k, form in enumerate(leg.forms):
         dst = leg.source.group(k)
-        leg_form = SmithForm(mid.with_relations(leg.matrix(k)))
         cols = []
         for g in push.matrix(k).columns():
-            t = leg_form.solve(g)
+            t = form.solve(g)
             if t is None:
                 raise SimplicialError(
                     f"transport solve failed in degree {k}: leg not surjective"
                 )
-            reduced = []
-            for i, order in enumerate(dst.orders):
-                reduced.append(t[i] % order if order else t[i])
-            cols.append(reduced)
-        matrix = IntMatrix.from_columns(len(dst.orders), cols)
-        matrices.append(matrix)
-        flags.append(is_group_iso(src, dst, matrix))
-    return matrices, flags
+            cols.append([v % order if order else v for v, order in zip(t, dst.orders)])
+        matrices.append(IntMatrix.from_columns(len(dst.orders), cols))
+    return matrices, list(push.iso_flags)
 
 
 @kept

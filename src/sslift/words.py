@@ -21,6 +21,7 @@ every result is an immutable tuple.
 
 from __future__ import annotations
 
+import re
 from functools import cache
 
 
@@ -129,13 +130,21 @@ def word_string(word: tuple[int, ...]) -> str:
     return ",".join(str(i) for i in word)
 
 
+_DECIMAL = re.compile(r"0|-?[1-9][0-9]*")
+
+
+def canonical_int(text: str) -> int | None:
+    """The integer text spells in canonical ASCII decimal ("0", "12", "-3";
+    no "+", leading zero, space or "_"), else None: one spelling each."""
+    return int(text) if _DECIMAL.fullmatch(text) else None
+
+
 def parse_word(text: str) -> tuple[int, ...]:
     if text == "":
         return ()
-    try:
-        word = tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"malformed degeneracy word {text!r}") from exc
+    word = tuple(canonical_int(part) for part in text.split(","))
+    if None in word:
+        raise ValueError(f"malformed degeneracy word {text!r}")
     if any(i < 0 for i in word):
         raise ValueError(f"degeneracy word {text!r} has a negative index")
     if not is_word(word):

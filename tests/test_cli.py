@@ -226,6 +226,62 @@ def test_a_negative_word_index_is_named_in_the_input_error(capsys):
     assert "degeneracy word '-1' has a negative index" in err
 
 
+def _interval_doc():
+    return {
+        "kind": "sset",
+        "simplicial": True,
+        "cells": {
+            "0": [{"id": "a"}, {"id": "b"}],
+            "1": [{"id": "e", "faces": [["", "b"], ["", "a"]]}],
+        },
+    }
+
+
+def _cover_with_layer(key):
+    doc = json.loads(fx("double_cover.ssx").read_text())
+    doc["assignment"][key] = dict(doc["assignment"]["0"])
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, command, path",
+    [
+        # a second spelling of degree 1 would replace its edge: H_0 = Z + Z
+        ({**_interval_doc(), "cells": {**_interval_doc()["cells"], "01": []}},
+         "homology", "$.cells.01"),
+        # a second spelling of degree 0 would replace the vertex assignment
+        (_cover_with_layer("00"), "certify", "$.assignment.00"),
+        # a non-ASCII digit passes str.isdigit, yet int() refuses it
+        ({**_interval_doc(), "cells": {"²": []}}, "homology", "$.cells.²"),
+        (_cover_with_layer("²"), "certify", "$.assignment.²"),
+        ({**_interval_doc(), "cells": {"+0": []}}, "homology", "$.cells.+0"),
+    ],
+    ids=["cells-01", "assignment-00", "cells-superscript", "assignment-superscript",
+         "cells-plus"],
+)
+def test_a_degree_key_must_be_a_canonical_decimal(capsys, tmp_path, doc, command, path):
+    bad = tmp_path / "bad.ssx"
+    bad.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    err = assert_one_line_input_error(capsys, ("--json", command, bad))
+    assert f"{path}: degree keys must be canonical decimal strings" in err
+
+
+@pytest.mark.parametrize("text", ["1_0", "+1", " 0", "01", "+0", "-0", "0,+0"])
+def test_a_word_index_must_be_a_canonical_decimal(capsys, tmp_path, text):
+    # on the command line: "+0" would read as s_0 a
+    err = assert_one_line_input_error(
+        capsys, ("fibers", fx("double_cover.ssx"), "--simplex", json.dumps([text, "a"]))
+    )
+    assert f"malformed degeneracy word {text!r}" in err
+    # in a document's face
+    doc = _interval_doc()
+    doc["cells"]["1"][0]["faces"][0][0] = text
+    bad = tmp_path / "bad.ssx"
+    bad.write_text(json.dumps(doc))
+    err = assert_one_line_input_error(capsys, ("homology", bad))
+    assert f"$.cells.1[0].faces[0]: bad degeneracy word: malformed degeneracy word {text!r}" in err
+
+
 def test_misplaced_global_flag_is_a_usage_error(capsys):
     # a global flag after the subcommand is not recognized there
     assert_one_line_input_error(capsys, ("nerve", "whatever.cat", "--json"))

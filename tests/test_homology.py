@@ -31,7 +31,7 @@ from sslift.homology import (
     solve_integer,
 )
 from sslift.products import Product
-from sslift.sset import boundary, standard_simplex, terminal_map
+from sslift.sset import SimplexRef, boundary, constant_map, standard_simplex, terminal_map
 
 import pytest
 
@@ -200,6 +200,17 @@ def test_induced_maps():
     ind2 = induced_homology(terminal_map(s1))
     assert ind2.iso_flags[0]
     assert not ind2.iso_flags[1]
+
+
+def test_induced_map_into_a_truncated_target_names_the_degree():
+    # the source has H_2 = Z; the target's profile stops below its cap 2
+    target = nerve(cyclic_group_category(2), 2).sset
+    f = constant_map(boundary(3), target, SimplexRef(0, (), "*"))
+    with pytest.raises(TruncationError, match="induced map in degree 2"):
+        induced_homology(f)
+    # below the cap the map is determined
+    ind = induced_homology(constant_map(boundary(2), target, SimplexRef(0, (), "*")))
+    assert ind.iso_flags == [True, False]
 
 
 def test_euler_characteristic():

@@ -213,6 +213,28 @@ def test_theorem_b_builds_no_fiber_over_a_degenerate_simplex(monkeypatch):
     assert built and all(not s.word for s in built)
 
 
+def test_transport_factors_each_matrix_of_its_legs_once(monkeypatch):
+    import sslift.homology as hmod
+
+    p = nerve_functor(double_cover())[0]
+    for v in ("a", "x"):
+        vertex_fiber(p, SimplexRef(0, (), v))
+    factored = []
+    real = hmod._smith_tracked
+
+    def counted(m, **track):
+        factored.append((m.shape, tuple(map(tuple, m.data))))
+        return real(m, **track)
+
+    monkeypatch.setattr(hmod, "_smith_tracked", counted)
+    res = transport_homology(p, SimplexRef(1, (), "a<x"))
+    assert res.is_iso
+    # the edge fiber's homology (three per degree), then one relation
+    # matrix per leg and degree; the division reuses the inverted leg's
+    assert len(factored) == 10
+    assert len(set(factored)) == 4
+
+
 def test_backward_undoes_forward(cover_setup):
     _, p = cover_setup
     edge = SimplexRef(1, (), "b<y")

@@ -124,6 +124,22 @@ def test_parse_word_names_the_fault(text, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "text", ["1_0", "+1", " 0", "0 ", "01", "-0", "-01", "²", "١", "2,", ",0", "0,,1"]
+)
+def test_parse_word_takes_only_canonical_ascii_indices(text):
+    with pytest.raises(ValueError) as exc:
+        W.parse_word(text)
+    assert str(exc.value) == f"malformed degeneracy word {text!r}"
+
+
+def test_canonical_int_spells_each_integer_once():
+    spelled = {str(i): i for i in range(-120, 121)}
+    assert all(W.canonical_int(text) == i for text, i in spelled.items())
+    for text in ["", "-", "+1", "01", "-0", "1_0", " 1", "1.0", "²", "١٢"]:
+        assert W.canonical_int(text) is None
+
+
 def test_op_involution():
     for m in range(4):
         for n in range(4):

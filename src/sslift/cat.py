@@ -383,6 +383,10 @@ def _comma_obj_id(c: str, g: str) -> str:
     return f"({c},{g})"
 
 
+def _comma_mor_id(u: str, v: str, g1: str, g2: str) -> str:
+    return f"({u},{v}):{g1}>{g2}"
+
+
 def comma_category(f: Functor) -> tuple[FiniteCategory, Functor, Functor]:
     """The comma category of a functor F: C -> D over all of D.
 
@@ -415,7 +419,7 @@ def comma_category(f: Functor) -> tuple[FiniteCategory, Functor, Functor]:
                 for v in d_cat.hom(d1, d2):
                     if d_cat.compose_pair(g2, fu) != d_cat.compose_pair(v, g1):
                         continue
-                    mid = f"({u},{v}):{g1}>{g2}"
+                    mid = _comma_mor_id(u, v, g1, g2)
                     morphisms[mid] = (o1, o2)
                     mor_data[mid] = (u, v)
                     if o1 == o2 and c_cat.is_identity(u) and d_cat.is_identity(v):
@@ -429,9 +433,8 @@ def comma_category(f: Functor) -> tuple[FiniteCategory, Functor, Functor]:
             u2, v2 = mor_data[m2]
             u = c_cat.compose_pair(u2, u1)
             v = d_cat.compose_pair(v2, v1)
-            g1 = obj_data[o1][1]
-            g3 = obj_data[o3][1]
-            compose[compose_key(m2, m1)] = f"({u},{v}):{g1}>{g3}"
+            g1, g3 = obj_data[o1][1], obj_data[o3][1]
+            compose[compose_key(m2, m1)] = _comma_mor_id(u, v, g1, g3)
     cat = FiniteCategory(objects, morphisms, identities, compose)
     cat.comma_objects = obj_data
     cat.comma_morphisms = mor_data

@@ -12,9 +12,9 @@ the degree-n simplices of its source by (faces at j != i, image) once,
 in candidate order, and a problem's solutions are the entry under its
 own faces and base.
 
-The engine runs on integer ids: each object numbers its degree-n
-simplices by their position in refs(n), which is candidate order, and
-keeps their faces as tuples of ids, computed from the cells' stored
+The engine runs on integer ids, the positions in candidate order that
+SimplicialSet.blocks defines, and keeps the faces of each object's
+degree-n simplices as tuples of ids, computed from the cells' stored
 faces and the simplicial identities without SimplicialSet.act.
 SimplexRef appears only at the boundary: the public problem and
 solution functions translate ids to refs and back, and certification
@@ -32,7 +32,6 @@ range.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from . import words as W
 from .products import Product
@@ -114,55 +113,24 @@ def op_problem(problem: HornProblem) -> HornProblem:
 
 # -- lookup tables ------------------------------------------------------------
 #
-# An id is a position in refs(n).  refs(n) runs through one block per
-# degeneracy word (by length, then word), each holding the cells of that
-# word's cell degree in candidate order, so an id is the block's offset
-# plus the cell's rank.  Every table lists ids in candidate order, so a
-# lookup yields exactly what a scan of refs(n) in that order would keep,
-# in the same order.  sset.kept builds each table on first use and keeps
-# it on the object or map it describes, so it lives as long as that does.
-
-
-@kept
-def _cell_ranks(x: SimplicialSet, m: int) -> dict[str, int]:
-    """The degree-m cells of x by their rank in candidate order."""
-    return {c: k for k, c in enumerate(sorted(x.n_cells(m)))}
-
-
-@kept
-def _blocks(x: SimplicialSet, n: int) -> dict[tuple[int, ...], tuple[int, dict]]:
-    """The degree-n ids of x by block: word -> (offset, ranks of the cells
-    it degenerates), in candidate order."""
-    lengths = range(n + 1) if x.simplicial else (0,)
-    words = [w for k in lengths for w in combinations(range(n - 1, -1, -1), k)]
-    blocks: dict = {}
-    offset = 0
-    for w in sorted(words, key=lambda w: (len(w), w)):
-        ranks = _cell_ranks(x, n - len(w))
-        if ranks:
-            blocks[w] = (offset, ranks)
-            offset += len(ranks)
-    return blocks
+# An id is a position in candidate order (SimplicialSet.blocks).  Every
+# table lists ids in that order, so a lookup yields exactly what a scan
+# of refs(n) would keep, in the same order.  sset.kept builds each table
+# on first use and keeps it on the object or map it describes.
 
 
 def _degenerated(x: SimplicialSet, d: int, epi: tuple[int, ...], n: int) -> dict:
     """Word w of a degree-d block -> offset of the degree-n block that s_w c
     lands in when degenerated by epi: [n] -> [d]."""
-    blocks = _blocks(x, n)
-    return {w: blocks[W.renormalize(w, d, epi)][0] for w in _blocks(x, d)}
+    blocks = x.blocks(n)
+    return {w: blocks[W.renormalize(w, d, epi)][0] for w in x.blocks(d)}
 
 
 def _splitter(x: SimplicialSet, degree: int):
     """The function taking a ref of x of the given degree to (word, rank
     of its cell)."""
-    ranks = [_cell_ranks(x, d) for d in range(degree + 1)]
+    ranks = [x.cell_ranks(d) for d in range(degree + 1)]
     return lambda r: (r.word, ranks[degree - len(r.word)][r.cell])
-
-
-@kept
-def _ids(x: SimplicialSet, n: int) -> dict[SimplexRef, int]:
-    """The id of every degree-n simplex of x: the engine's boundary."""
-    return {r: k for k, r in enumerate(x.refs(n))}
 
 
 @kept
@@ -172,11 +140,11 @@ def _face_table(x: SimplicialSet, n: int) -> list[tuple[int, ...]]:
     Built from the cells' stored faces and the rule for d_i s_w.
     """
     if n == 0:
-        return [()] * len(_cell_ranks(x, 0))
-    below = _blocks(x, n - 1)
+        return [()] * len(x.cell_ranks(0))
+    below = x.blocks(n - 1)
     stored = {}
     rows = []
-    for w, (_, ranks) in _blocks(x, n).items():
+    for w, (_, ranks) in x.blocks(n).items():
         m = n - len(w)
         if m not in stored:
             split = _splitter(x, m - 1)
@@ -225,7 +193,7 @@ def _images(p: SMap, n: int) -> list[int]:
     x, y = p.source, p.target
     values = {}
     out = []
-    for w, (_, ranks) in _blocks(x, n).items():
+    for w, (_, ranks) in x.blocks(n).items():
         m = n - len(w)
         if m not in values:
             split = _splitter(y, m)
@@ -257,9 +225,9 @@ def iter_horn_solutions(p: SMap, problem: HornProblem):
     n, i = problem.n, problem.i
     if [j for j, _ in problem.faces] != [j for j in range(n + 1) if j != i]:
         raise SimplicialError("horn problem faces must cover all j != i in order")
-    faces, bases = _ids(p.source, n - 1), _ids(p.target, n)
     # a ref that is no simplex of the right degree gets no id, and its key no entry
-    key = tuple([faces.get(r) for _, r in problem.faces]) + (bases.get(problem.base),)
+    key = tuple([p.source.simplex_id(n - 1, r) for _, r in problem.faces])
+    key += (p.target.simplex_id(n, problem.base),)
     refs = p.source.refs(n)
     for r in _solution_table(p, n, i).get(key, ()):
         yield refs[r]
@@ -479,7 +447,7 @@ def is_cartesian_edge(
     if edge.degree != 1:
         raise SimplicialError("cartesian test wants an edge reference")
     _check_cap(cap)
-    e = _ids(x, 1)[edge]
+    e = x.simplex_id(1, edge)
     checked = 0
     for n in range(2, cap + 1):
         last = _last_edge_index(x, n - 1).get(e, {})

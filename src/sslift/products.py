@@ -12,6 +12,7 @@ jointly, so the result is again presented by nondegenerate cells only.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import combinations
 
 from . import words as W
@@ -127,14 +128,22 @@ class PairedSSet:
             if t is not None:
                 trunc = t if trunc is None else min(trunc, t)
         self.sset = SimplicialSet(cells, truncated_at=trunc)
-        self.to_left = self._projection(self.left_object, 0)
-        self.to_right = self._projection(self.right_object, 1)
 
-    def _projection(self, target: SimplicialSet, side: int) -> SMap:
+    @cached_property
+    def to_left(self) -> SMap:
+        """The projection to the left factor, built on first read."""
         assignment: dict[int, dict[str, SimplexRef]] = {}
-        for (n, cell_id), pair in self.components.items():
-            assignment.setdefault(n, {})[cell_id] = pair[side]
-        return SMap(self.sset, target, assignment)
+        for (n, cell_id), (lref, _) in self.components.items():
+            assignment.setdefault(n, {})[cell_id] = lref
+        return SMap(self.sset, self.left_object, assignment)
+
+    @cached_property
+    def to_right(self) -> SMap:
+        """The projection to the right factor, built on first read."""
+        assignment: dict[int, dict[str, SimplexRef]] = {}
+        for (n, cell_id), (_, rref) in self.components.items():
+            assignment.setdefault(n, {})[cell_id] = rref
+        return SMap(self.sset, self.right_object, assignment)
 
     def pair_ref(self, left: SimplexRef, right: SimplexRef) -> SimplexRef:
         """The simplex of the paired object with the given component refs."""

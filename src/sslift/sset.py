@@ -12,12 +12,18 @@ surjection (words.split); the cell is restricted along the injection by
 one face step for each value it misses, and the surjection renormalizes
 the word of the result (words.renormalize).
 
+Candidate order (word length, then word, then cell id) is defined only
+by blocks(n), one block per degeneracy word with the cells ranked by id:
+every simplex is s_w c for exactly one word w and cell c (the
+Eilenberg-Zilber lemma; May, Simplicial Objects in Algebraic Topology,
+1967), and its id, its position in refs(n), is offset plus rank.
+
 The semi-simplicial flag forbids degeneracy words everywhere; such
 objects only support face structure and are accepted by the homology
 backend.
 
-Data derived from an object or a map (its refs, its opposite, the
-lifting tables, a map's cells by value and its vertex fibers) is built
+Data derived from an object or a map (its blocks and refs, its opposite,
+the lifting tables, a map's cells by value and its vertex fibers) is built
 on first use and kept on its owner by kept, so it lives exactly as long
 as the owner does.
 """
@@ -25,6 +31,7 @@ as the owner does.
 from __future__ import annotations
 
 from functools import wraps
+from itertools import combinations
 from typing import Iterable, Iterator, NamedTuple
 
 from . import words as W
@@ -59,7 +66,7 @@ class SimplexRef(NamedTuple):
 
 
 def ref_sort_key(r: SimplexRef):
-    """Candidate order used by the lifting engine: word length, word, cell id."""
+    """Candidate order as a sort key: word length, word, cell id (see blocks)."""
     return (len(r.word), r.word, r.cell)
 
 
@@ -192,24 +199,38 @@ class SimplicialSet:
         return self.act(r, (r.degree - 1, r.degree))
 
     @kept
-    def refs(self, n: int) -> list[SimplexRef]:
-        """All degree-n simplices, sorted by (word length, word, cell id)."""
-        if n < 0:
-            return []
-        out: list[SimplexRef] = []
-        if self.simplicial:
-            from itertools import combinations
+    def cell_ranks(self, m: int) -> dict[str, int]:
+        """The degree-m cells by their rank in candidate order (by id)."""
+        return {c: k for k, c in enumerate(sorted(self.n_cells(m)))}
 
-            for m in range(min(n, self.dimension) + 1):
-                size = n - m
-                for cell_id in self._order[m]:
-                    for combo in combinations(range(n - 1, -1, -1), size):
-                        out.append(SimplexRef(n, combo, cell_id))
-        else:
-            for cell_id in self.n_cells(n):
-                out.append(SimplexRef(n, (), cell_id))
-        out.sort(key=ref_sort_key)
-        return out
+    @kept
+    def blocks(self, n: int) -> dict[tuple[int, ...], tuple[int, dict[str, int]]]:
+        """Candidate order of the degree-n simplices, one block per
+        degeneracy word: word -> (offset of its block, cell_ranks of the
+        degree it degenerates), blocks by word length, then word.  Only
+        words whose cell degree has cells get a block."""
+        lengths = range(max(n - self.dimension, 0), n + 1) if self.simplicial else (0,)
+        blocks: dict = {}
+        offset = 0
+        for k in lengths:
+            ranks = self.cell_ranks(n - k)
+            if ranks:
+                for w in sorted(combinations(range(n - 1, -1, -1), k)):
+                    blocks[w] = (offset, ranks)
+                    offset += len(ranks)
+        return blocks
+
+    @kept
+    def refs(self, n: int) -> list[SimplexRef]:
+        """All degree-n simplices in candidate order, block by block."""
+        return [SimplexRef(n, w, c) for w, (_, ranks) in self.blocks(n).items() for c in ranks]
+
+    def simplex_id(self, n: int, r: SimplexRef) -> int | None:
+        """r's position in refs(n): its block's offset plus its cell's
+        rank; None when r is no degree-n simplex of this object."""
+        offset, ranks = self.blocks(n).get(r.word, (0, {}))
+        rank = ranks.get(r.cell) if r.degree == n else None
+        return None if rank is None else offset + rank
 
     def resolve(self, r: SimplexRef) -> SimplexRef:
         """Validate that r denotes a simplex of this object and return it."""
@@ -335,8 +356,6 @@ def standard_simplex(n: int) -> SimplicialSet:
     """The standard n-simplex; cells are the monotone injections into [n]."""
     if n < 0:
         raise SimplicialError("standard_simplex wants n >= 0")
-    from itertools import combinations
-
     cells: dict[int, list[tuple[str, list[SimplexRef]]]] = {}
     for k in range(n + 1):
         layer = []

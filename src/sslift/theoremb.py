@@ -30,6 +30,8 @@ from dataclasses import dataclass
 from .cat import (
     Functor,
     NatTrans,
+    _comma_mor_id,
+    _comma_obj_id,
     _homotopy_value,
     comma_category,
     identity_functor,
@@ -97,26 +99,23 @@ def _comma_unit(f: Functor, comma, to_c) -> NatTrans:
     (id_c, g), a morphism from i(P(c, g)) to (c, g)."""
     c_cat, d_cat = f.source, f.target
 
-    def unit_obj(c: str) -> str:
-        return f"({c},{d_cat.identity_of(f.object_map[c])})"
-
-    def unit_mor(u: str) -> str:
-        a, b = c_cat.morphisms[u]
-        ga = d_cat.identity_of(f.object_map[a])
-        gb = d_cat.identity_of(f.object_map[b])
-        return f"({u},{f.morphism_map[u]}):{ga}>{gb}"
+    def id_fc(c: str) -> str:
+        return d_cat.identity_of(f.object_map[c])
 
     include = Functor(
         c_cat,
         comma,
-        {c: unit_obj(c) for c in c_cat.objects},
-        {u: unit_mor(u) for u in c_cat.morphisms},
+        {c: _comma_obj_id(c, id_fc(c)) for c in c_cat.objects},
+        {
+            u: _comma_mor_id(u, f.morphism_map[u], id_fc(a), id_fc(b))
+            for u, (a, b) in c_cat.morphisms.items()
+        },
     )
     retract = include.compose_with(to_c)
     components = {}
     for o in comma.objects:
         c, g = comma.comma_objects[o]
-        components[o] = f"({c_cat.identity_of(c)},{g}):{d_cat.identity_of(f.object_map[c])}>{g}"
+        components[o] = _comma_mor_id(c_cat.identity_of(c), g, id_fc(c), g)
     return NatTrans(retract, identity_functor(comma), components)
 
 

@@ -28,6 +28,7 @@ from sslift.sset import (
     identity_map,
     standard_simplex,
 )
+from sslift.transport import vertex_fiber
 from test_lifting_reference import ref_act
 from tests.test_sset import loop_space
 
@@ -354,3 +355,24 @@ def test_mismatched_cospan_raises_before_the_factor_check():
         PairedSSet(to_point, into_circle)
     with pytest.raises(SimplicialError, match="simplicial factors"):
         PairedSSet(to_point, vertex_inclusion(0, 0))
+
+
+def projection_assignment(pair, side):
+    """The projection to one factor, read off the components."""
+    assignment = {}
+    for (n, cell_id), components in pair.components.items():
+        assignment.setdefault(n, {})[cell_id] = components[side]
+    return assignment
+
+
+def test_projections_are_built_on_first_read():
+    pairs = [Product(standard_simplex(2), loop_space())]
+    for p in fixture_maps().values():
+        pairs += [vertex_fiber(p, SimplexRef(0, (), v))[0] for v in p.target.n_cells(0)]
+    for pair in pairs:
+        assert "to_left" not in vars(pair) and "to_right" not in vars(pair)
+        for side, factor in enumerate((pair.left_object, pair.right_object)):
+            proj = pair.to_right if side else pair.to_left
+            assert proj.source is pair.sset and proj.target is factor
+            assert proj.assignment == projection_assignment(pair, side)
+            assert (pair.to_right if side else pair.to_left) is proj

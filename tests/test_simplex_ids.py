@@ -69,10 +69,10 @@ def degrees(x):
 def assert_ids_are_positions(x):
     for n in degrees(x):
         refs = x.refs(n)
-        for word, (offset, ranks) in L._blocks(x, n).items():
+        for word, (offset, ranks) in x.blocks(n).items():
             for cell, rank in ranks.items():
                 assert refs[offset + rank] == SimplexRef(n, word, cell)
-        assert L._ids(x, n) == {r: k for k, r in enumerate(refs)}
+        assert [x.simplex_id(n, r) for r in refs] == list(range(len(refs)))
 
 
 def assert_faces_decode(x):

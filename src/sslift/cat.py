@@ -682,28 +682,28 @@ def nerve_functor(
     not contain the image of the source nerve.  A cell's value is the
     value of its face d_n with the image h of its last arrow added: an
     identity h puts n-1 in front of the word, any other h extends the
-    cell (or replaces a vertex).
+    cell (or replaces a vertex).  Equal values are one shared object.
     """
     src = nerve(f.source, cap)
     tgt = nerve(f.target, cap)
     need = src.sset.dimension
     if tgt.sset.truncated_at is not None and tgt.sset.truncated_at < need:
         tgt = nerve(f.target, need)
-    assignment: dict[int, dict[str, SimplexRef]] = {
-        0: {o: SimplexRef(0, (), f.object_map[o]) for o in src.sset.n_cells(0)}
-    }
+    assignment: dict[int, dict[str, SimplexRef]] = {}
+    shared: dict[SimplexRef, SimplexRef] = {}
     for n, cell_id, faces in src.sset.cell_items():
         if n == 0:
-            continue
-        v = assignment[n - 1][faces[n].cell]
-        h = f.morphism_map[cell_id.rpartition("|")[2]]
-        if f.target.is_identity(h):
-            v = SimplexRef(n, (n - 1,) + v.word, v.cell)
-        elif v.cell_degree == 0:
-            v = SimplexRef(n, v.word, h)
+            v = SimplexRef(0, (), f.object_map[cell_id])
         else:
-            v = SimplexRef(n, v.word, f"{v.cell}|{h}")
-        assignment.setdefault(n, {})[cell_id] = v
+            v = assignment[n - 1][faces[n].cell]
+            h = f.morphism_map[cell_id.rpartition("|")[2]]
+            if f.target.is_identity(h):
+                v = SimplexRef(n, (n - 1,) + v.word, v.cell)
+            elif v.cell_degree == 0:
+                v = SimplexRef(n, v.word, h)
+            else:
+                v = SimplexRef(n, v.word, f"{v.cell}|{h}")
+        assignment.setdefault(n, {})[cell_id] = shared.setdefault(v, v)
     return SMap(src.sset, tgt.sset, assignment), src, tgt
 
 

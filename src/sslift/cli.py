@@ -68,7 +68,7 @@ def _find_ref(x: SimplicialSet, text: str, degree: int | None = None) -> Simplex
     cell = text
     try:
         entry = json.loads(text)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):  # not JSON: a bare cell id
         entry = None
     if isinstance(entry, list) and len(entry) == 2 and all(isinstance(s, str) for s in entry):
         try:

@@ -400,7 +400,7 @@ def load_path(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as e:
+        except (ValueError, RecursionError) as e:  # undecodable bytes, too deep, too long an int
             raise FormatError("$", f"not valid JSON: {e}") from None
     return parse_document(doc)
 

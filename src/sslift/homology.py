@@ -6,9 +6,10 @@ degenerate faces contribute zero) with sparse boundaries, and all
 arithmetic is over Python integers, so coefficients never overflow.  Pairs
 of cells joined by a boundary entry 1 or -1 are eliminated first; the
 reduction is kept as data, so cycles move between the original complex
-and the small remainder exactly.  Homology groups carry chosen integral
-generators in the cell basis so that maps of simplicial sets induce
-explicit matrices.
+and the small remainder exactly.  Two Smith forms per degree of the
+remainder, the boundary's and the relations', give homology groups with
+chosen integral generators in the cell basis, so that maps of simplicial
+sets induce explicit matrices.
 """
 
 from __future__ import annotations
@@ -98,56 +99,54 @@ class IntMatrix:
         return [row[:] for row in self.data]
 
 
-def _smith_tracked(m: IntMatrix, v: bool = True, u_inv: bool = True):
-    """Smith normal form with u and the other transforms asked for.
+def _smith_tracked(m: IntMatrix):
+    """Smith normal form with both transforms and their inverses.
 
-    Returns (d, u, v, u_inv) with u @ m @ v == d, u and v unimodular,
-    and d diagonal with a divisibility chain; v or u_inv not asked for
-    is None.  The pivot sequence, and so d, does not depend on which
-    transforms are tracked.
+    Returns (d, u, v, u_inv, v_inv) with u @ m @ v == d, u and v
+    unimodular, and d diagonal with a divisibility chain.  Each row
+    operation on u is undone by a column operation on u_inv, and each
+    column operation on v by a row operation on v_inv.
     """
     a = m.copy()
     rows, cols = a.rows, a.cols
     tu = IntMatrix.identity(rows)
-    tuinv = IntMatrix.identity(rows) if u_inv else None
-    tv = IntMatrix.identity(cols) if v else None
+    tuinv = IntMatrix.identity(rows)
+    tv = IntMatrix.identity(cols)
+    tvinv = IntMatrix.identity(cols)
 
     def row_swap(i, j):
         a.data[i], a.data[j] = a.data[j], a.data[i]
         tu.data[i], tu.data[j] = tu.data[j], tu.data[i]
-        if tuinv is not None:
-            for r in tuinv.data:
-                r[i], r[j] = r[j], r[i]
+        for r in tuinv.data:
+            r[i], r[j] = r[j], r[i]
 
     def col_swap(i, j):
         for r in a.data:
             r[i], r[j] = r[j], r[i]
-        if tv is not None:
-            for r in tv.data:
-                r[i], r[j] = r[j], r[i]
+        for r in tv.data:
+            r[i], r[j] = r[j], r[i]
+        tvinv.data[i], tvinv.data[j] = tvinv.data[j], tvinv.data[i]
 
     def row_add(i, j, c):
         # row_i += c * row_j
         a.data[i] = [x + c * y for x, y in zip(a.data[i], a.data[j])]
         tu.data[i] = [x + c * y for x, y in zip(tu.data[i], tu.data[j])]
-        if tuinv is not None:
-            for r in tuinv.data:
-                r[j] -= c * r[i]
+        for r in tuinv.data:
+            r[j] -= c * r[i]
 
     def col_add(i, j, c):
         # col_i += c * col_j
         for r in a.data:
             r[i] += c * r[j]
-        if tv is not None:
-            for r in tv.data:
-                r[i] += c * r[j]
+        for r in tv.data:
+            r[i] += c * r[j]
+        tvinv.data[j] = [x - c * y for x, y in zip(tvinv.data[j], tvinv.data[i])]
 
     def row_negate(i):
         a.data[i] = [-x for x in a.data[i]]
         tu.data[i] = [-x for x in tu.data[i]]
-        if tuinv is not None:
-            for r in tuinv.data:
-                r[i] = -r[i]
+        for r in tuinv.data:
+            r[i] = -r[i]
 
     t = 0
     limit = min(rows, cols)
@@ -197,7 +196,7 @@ def _smith_tracked(m: IntMatrix, v: bool = True, u_inv: bool = True):
         if stuck:
             continue
         t += 1
-    return a, tu, tv, tuinv
+    return a, tu, tv, tuinv, tvinv
 
 
 def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -206,7 +205,7 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
         rows = len(matrix)
         cols = len(matrix[0]) if rows else 0
         matrix = IntMatrix(rows, cols, matrix)
-    d, u, v, _ = _smith_tracked(matrix, u_inv=False)
+    d, u, v, _, _ = _smith_tracked(matrix)
     return d, u, v
 
 
@@ -214,17 +213,17 @@ class SmithForm:
     """One tracked factorization u @ a @ v == d of an integer matrix a.
 
     Factor a matrix once and answer every solve and kernel question about
-    it from the factors.  Only u, v and the diagonal of d are kept, which
-    is all that solving and the kernel need.
+    it from the factors: u, v, v_inv and the diagonal of d are kept.
     """
 
-    __slots__ = ("cols", "u", "v", "diagonal")
+    __slots__ = ("cols", "u", "v", "v_inv", "diagonal")
 
     def __init__(self, a: IntMatrix):
-        d, u, v, _ = _smith_tracked(a, u_inv=False)
+        d, u, v, _, v_inv = _smith_tracked(a)
         self.cols = a.cols
         self.u = u
         self.v = v
+        self.v_inv = v_inv
         self.diagonal = [d.data[t][t] for t in range(min(a.rows, a.cols))]
 
     def solve(self, b: list[int]) -> list[int] | None:
@@ -246,10 +245,17 @@ class SmithForm:
         """Whether a maps onto Z^rows: a unit on the diagonal in every row."""
         return len(self.diagonal) == self.u.rows and all(abs(d) == 1 for d in self.diagonal)
 
+    def _free(self) -> list[int]:
+        return [j for j in range(self.cols) if j >= len(self.diagonal) or not self.diagonal[j]]
+
     def kernel(self) -> IntMatrix:
         """Columns spanning the integer kernel of a."""
-        free = [j for j in range(self.cols) if j >= len(self.diagonal) or not self.diagonal[j]]
-        return IntMatrix.from_columns(self.cols, [self.v.column(j) for j in free])
+        return IntMatrix.from_columns(self.cols, [self.v.column(j) for j in self._free()])
+
+    def kernel_coordinates(self) -> IntMatrix:
+        """Rows taking a kernel vector to its coordinates in kernel()."""
+        rows = [self.v_inv.data[j] for j in self._free()]
+        return IntMatrix(len(rows), self.cols, rows)
 
 
 def solve_integer(a: IntMatrix, b: list[int]) -> list[int] | None:
@@ -480,10 +486,10 @@ class HomologyGroup:
     """One homology group with chosen integral generators.
 
     orders[i] is 0 for a free generator and t >= 2 for a torsion generator
-    of order t; generators are columns of gens in the cell basis.  The
-    internal full data (including discarded order-1 generators) lives on
-    the reduced complex and supports expressing arbitrary cycles in this
-    basis.
+    of order t; generators are columns of gens in the cell basis.  A cycle
+    is expressed in this basis by projecting it onto the reduced complex
+    and applying one stored matrix, which takes a remainder cycle to its
+    coordinates in the full generator list (order-1 generators included).
     """
 
     degree: int
@@ -491,31 +497,20 @@ class HomologyGroup:
     torsion: list[int]
     gens: IntMatrix
     orders: list[int]
-    _cycles: SmithForm = field(repr=False, default=None)  # factored cycle basis
-    _transform: IntMatrix = field(repr=False, default=None)  # U' with relations diagonal
+    _coordinates: IntMatrix = field(repr=False, default=None)  # remainder cycle -> coordinates
     _orders_full: list[int] = field(repr=False, default=None)
     _reduction: Reduction | None = field(repr=False, default=None)
 
     def coordinates(self, cycle: list[int]) -> list[int] | None:
         """Coordinates of a cycle in the kept generator basis, reduced;
         None when the chain is not a cycle."""
-        if self._cycles is None:  # a degree past its profile: no cells
+        if self._coordinates is None:  # a degree past its profile: no cells
             return None if any(cycle) else []
         red = self._reduction
-        if red is not None:
-            if any(red.original.boundary(self.degree).mul_vec(cycle)):
-                return None
-            cycle = red.project(self.degree, cycle)
-        t0 = self._cycles.solve(cycle)
-        if t0 is None:
+        if any(red.original.boundary(self.degree).mul_vec(cycle)):
             return None
-        t = self._transform.mul_vec(t0)
-        out = []
-        for val, order in zip(t, self._orders_full):
-            if order == 1:
-                continue
-            out.append(val % order if order else val)
-        return out
+        t = self._coordinates.mul_vec(red.project(self.degree, cycle))
+        return [x % order if order else x for x, order in zip(t, self._orders_full) if order != 1]
 
     def with_relations(self, matrix: IntMatrix) -> IntMatrix:
         """matrix, a map into this group's generators, with the relations
@@ -568,22 +563,21 @@ class HomologyProfile:
 
 
 def homology_of_reduction(red: Reduction, top: int | None = None) -> HomologyProfile:
-    """Homology from the Smith forms of the remainder's boundaries, with
-    the generators lifted back to the cells of the original complex."""
+    """Homology from two Smith forms per degree of the remainder: d_k's
+    gives the cycle basis and each cycle's coordinates in it, the
+    relations' the generators, which are lifted back to the original cells."""
     cx = red.remainder
     groups = []
     limit = cx.dimension if top is None else top
     for k in range(limit + 1):
-        kern = kernel_basis(cx.boundary(k).to_dense())
-        cycles = SmithForm(kern)
-        rels = []
-        for col in cx.boundary(k + 1).to_dense().columns():
-            t = cycles.solve(col)
-            if t is None:
-                raise SimplicialError("boundary image escapes the cycle lattice")
-            rels.append(t)
-        rel_matrix = IntMatrix.from_columns(kern.cols, rels)
-        d, up, _, upinv = _smith_tracked(rel_matrix, v=False)
+        cycles = SmithForm(cx.boundary(k).to_dense())
+        kern = cycles.kernel()
+        rows = cycles.kernel_coordinates()
+        rels = [
+            [sum(r[i] * c for i, c in col.items()) for r in rows.data]
+            for col in cx.boundary(k + 1).entries
+        ]
+        d, up, _, upinv, _ = _smith_tracked(IntMatrix.from_columns(kern.cols, rels))
         orders_full = []
         for i in range(kern.cols):
             val = d.data[i][i] if i < min(d.rows, d.cols) else 0
@@ -605,8 +599,7 @@ def homology_of_reduction(red: Reduction, top: int | None = None) -> HomologyPro
                 torsion,
                 IntMatrix.from_columns(red.original.rank(k), kept_cols),
                 kept_orders,
-                _cycles=cycles,
-                _transform=up,
+                _coordinates=up @ rows,
                 _orders_full=orders_full,
                 _reduction=red,
             )

@@ -400,6 +400,14 @@ def _check_cap(cap: int) -> None:
         raise SimplicialError(f"horn degree cap must be at least 2, got {cap}")
 
 
+def _check_edge_test(x: SimplicialSet, edge: SimplexRef, cap: int) -> None:
+    """Reject an edge test on a ref that is no edge of x, or a cap below 2."""
+    x.resolve(edge)
+    if edge.degree != 1:
+        raise SimplicialError("cartesian test wants an edge reference")
+    _check_cap(cap)
+
+
 def certify_inner_fibration(p: SMap, cap: int | None = None) -> Certificate:
     """Solve every inner horn problem with 2 <= n <= cap against p.
 
@@ -443,10 +451,7 @@ def is_cartesian_edge(
     Returns (verdict, least refuting problem or None, problems checked).
     """
     x = p.source
-    x.resolve(edge)
-    if edge.degree != 1:
-        raise SimplicialError("cartesian test wants an edge reference")
-    _check_cap(cap)
+    _check_edge_test(x, edge, cap)
     e = x.simplex_id(1, edge)
     checked = 0
     for n in range(2, cap + 1):
@@ -462,6 +467,7 @@ def is_cocartesian_edge(
     p: SMap, edge: SimplexRef, cap: int
 ) -> tuple[bool, HornProblem | None, int]:
     """Left-horn dual of is_cartesian_edge, computed on the opposite map."""
+    _check_edge_test(p.source, edge, cap)
     ok, witness, checked = is_cartesian_edge(_op_map(p), op_ref(edge), cap)
     return ok, (op_problem(witness) if witness is not None else None), checked
 

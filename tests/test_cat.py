@@ -159,6 +159,13 @@ def test_nerve_functor_is_natural(cover):
         assert m.value(0, o) == SimplexRef(0, (), cover.object_map[o])
 
 
+def test_nerve_functor_shares_equal_values():
+    _, _, to_d = comma_category(identity_functor(chain_poset(3)))
+    m, _, _ = nerve_functor(to_d)
+    values = [r for layer in m.assignment.values() for r in layer.values()]
+    assert len({id(r) for r in values}) == len(set(values)) < len(values)
+
+
 def test_nerve_functor_respects_composition(c4, cover):
     # N(point at a0) then N(cover) equals N(cover o point)
     from sslift.corpus import point_functor

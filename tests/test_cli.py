@@ -194,6 +194,44 @@ def test_bad_word_or_cap_is_a_one_line_input_error(capsys, argv):
     assert_one_line_input_error(capsys, argv)
 
 
+# bytes that json.load itself cannot turn into a document
+UNREADABLE = {
+    "not_utf8": b'\xff\xfe{"kind": "sset"}',
+    "deep": b"[" * 200_000,
+    "long_int": b'{"kind": "sset", "truncated_at": 1' + b"0" * 5000 + b"}",
+}
+BAD = object()  # where the unreadable document goes in the command line
+
+
+@pytest.mark.parametrize("name", sorted(UNREADABLE))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("certify", BAD),
+        ("fibers", BAD),
+        ("transport", BAD, "--edge", "a<x"),
+        ("theorem-b", BAD),
+        ("ltg-check", "--cospan", BAD, fx("cylinder_proj.ssx")),
+        ("ltg-check", "--cospan", fx("interval_vertex.ssx"), BAD),
+        ("homology", BAD),
+        ("nerve", BAD),
+    ],
+    ids=["certify", "fibers", "transport", "theorem-b", "ltg-f", "ltg-p", "homology", "nerve"],
+)
+def test_unreadable_documents_are_a_one_line_input_error(capsys, tmp_path, name, argv):
+    path = tmp_path / f"{name}.json"
+    path.write_bytes(UNREADABLE[name])
+    err = assert_one_line_input_error(capsys, [path if a is BAD else a for a in argv])
+    assert f"{path}: $: not " in err
+
+
+@pytest.mark.parametrize("text", ["[" * 200_000, "1" + "0" * 5000], ids=["deep", "long_int"])
+@pytest.mark.parametrize("command, flag", [("transport", "--edge"), ("fibers", "--simplex")])
+def test_unreadable_refs_are_bare_cell_ids(capsys, text, command, flag):
+    err = assert_one_line_input_error(capsys, (command, fx("double_cover.ssx"), flag, text))
+    assert err.startswith("error: no cell named ")
+
+
 @pytest.mark.parametrize("flag", [True, False])
 @pytest.mark.parametrize(
     "name, command, path",

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from sslift.cat import chain_poset, comma_category, identity_functor, nerve_functor
 from sslift.formats import load_path
 from sslift.lifting import (
     EDGE_01,
@@ -20,6 +21,7 @@ from sslift.lifting import (
 )
 from sslift.sset import (
     SimplexRef,
+    SimplicialError,
     constant_map,
     identity_map,
     ref_sort_key,
@@ -134,6 +136,19 @@ def test_cover_edges_are_two_sided(cover_map):
         e = SimplexRef(1, (), c)
         assert is_cartesian_edge(cover_map, e, 3)[0], c
         assert is_cocartesian_edge(cover_map, e, 3)[0], c
+
+
+def test_bad_edge_tests_keep_no_opposite():
+    _, _, to_d = comma_category(identity_functor(chain_poset(3)))
+    q = nerve_functor(to_d)[0]
+    edge = next(e for e in q.source.refs(1) if not e.word)
+    vertex = q.source.refs(0)[0]
+    for test in (is_cartesian_edge, is_cocartesian_edge):
+        with pytest.raises(SimplicialError, match="horn degree cap must be at least 2, got 1"):
+            test(q, edge, 1)
+        with pytest.raises(SimplicialError, match="cartesian test wants an edge reference"):
+            test(q, vertex, 3)
+    assert q._kept == {}
 
 
 def test_collapse_edges_fail_cartesian(tower_map):

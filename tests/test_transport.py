@@ -229,9 +229,9 @@ def test_transport_factors_each_matrix_of_its_legs_once(monkeypatch):
     monkeypatch.setattr(hmod, "_smith_tracked", counted)
     res = transport_homology(p, SimplexRef(1, (), "a<x"))
     assert res.is_iso
-    # the edge fiber's homology (three per degree), then one relation
+    # the edge fiber's homology (two per degree), then one relation
     # matrix per leg and degree; the division reuses the inverted leg's
-    assert len(factored) == 10
+    assert len(factored) == 8
     assert len(set(factored)) == 4
 
 

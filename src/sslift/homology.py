@@ -9,12 +9,14 @@ reduction is kept as data, so cycles move between the original complex
 and the small remainder exactly.  Two Smith forms per degree of the
 remainder, the boundary's and the relations', give homology groups with
 chosen integral generators in the cell basis, so that maps of simplicial
-sets induce explicit matrices.
+sets induce explicit matrices.  A Smith form builds each transform only
+when it is read, so wide relations cost no square matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .sset import SMap, SimplicialError, SimplicialSet
 
@@ -99,132 +101,117 @@ class IntMatrix:
         return [row[:] for row in self.data]
 
 
-def _smith_tracked(m: IntMatrix):
-    """Smith normal form with both transforms and their inverses.
-
-    Returns (d, u, v, u_inv, v_inv) with u @ m @ v == d, u and v
-    unimodular, and d diagonal with a divisibility chain.  Each row
-    operation on u is undone by a column operation on u_inv, and each
-    column operation on v by a row operation on v_inv.
-    """
-    a = m.copy()
-    rows, cols = a.rows, a.cols
-    tu = IntMatrix.identity(rows)
-    tuinv = IntMatrix.identity(rows)
-    tv = IntMatrix.identity(cols)
-    tvinv = IntMatrix.identity(cols)
-
-    def row_swap(i, j):
-        a.data[i], a.data[j] = a.data[j], a.data[i]
-        tu.data[i], tu.data[j] = tu.data[j], tu.data[i]
-        for r in tuinv.data:
-            r[i], r[j] = r[j], r[i]
-
-    def col_swap(i, j):
-        for r in a.data:
-            r[i], r[j] = r[j], r[i]
-        for r in tv.data:
-            r[i], r[j] = r[j], r[i]
-        tvinv.data[i], tvinv.data[j] = tvinv.data[j], tvinv.data[i]
-
-    def row_add(i, j, c):
-        # row_i += c * row_j
-        a.data[i] = [x + c * y for x, y in zip(a.data[i], a.data[j])]
-        tu.data[i] = [x + c * y for x, y in zip(tu.data[i], tu.data[j])]
-        for r in tuinv.data:
-            r[j] -= c * r[i]
-
-    def col_add(i, j, c):
-        # col_i += c * col_j
-        for r in a.data:
-            r[i] += c * r[j]
-        for r in tv.data:
-            r[i] += c * r[j]
-        tvinv.data[j] = [x - c * y for x, y in zip(tvinv.data[j], tvinv.data[i])]
-
-    def row_negate(i):
-        a.data[i] = [-x for x in a.data[i]]
-        tu.data[i] = [-x for x in tu.data[i]]
-        for r in tuinv.data:
-            r[i] = -r[i]
-
-    t = 0
-    limit = min(rows, cols)
-    while t < limit:
-        pivot = None
-        best = None
-        for i in range(t, rows):
-            for j in range(t, cols):
-                val = abs(a.data[i][j])
-                if val and (best is None or val < best):
-                    best = val
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        i, j = pivot
-        if i != t:
-            row_swap(t, i)
-        if j != t:
-            col_swap(t, j)
-        if a.data[t][t] < 0:
-            row_negate(t)
-        p = a.data[t][t]
-        dirty = False
-        for i in range(t + 1, rows):
-            if a.data[i][t]:
-                q = a.data[i][t] // p
-                row_add(i, t, -q)
-                if a.data[i][t]:
-                    dirty = True
-        for j in range(t + 1, cols):
-            if a.data[t][j]:
-                q = a.data[t][j] // p
-                col_add(j, t, -q)
-                if a.data[t][j]:
-                    dirty = True
-        if dirty:
-            continue
-        stuck = False
-        for i in range(t + 1, rows):
-            for j in range(t + 1, cols):
-                if a.data[i][j] % p:
-                    row_add(t, i, 1)
-                    stuck = True
-                    break
-            if stuck:
-                break
-        if stuck:
-            continue
-        t += 1
-    return a, tu, tv, tuinv, tvinv
-
-
-def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (d, u, v) with d = u @ matrix @ v in Smith normal form."""
-    if not isinstance(matrix, IntMatrix):
-        rows = len(matrix)
-        cols = len(matrix[0]) if rows else 0
-        matrix = IntMatrix(rows, cols, matrix)
-    d, u, v, _, _ = _smith_tracked(matrix)
-    return d, u, v
+def _replay(n: int, ops: list[tuple], inverted: bool, transposed: bool) -> IntMatrix:
+    """The n x n identity with ops applied in order as row operations,
+    each addition inverted (see SmithForm) when inverted is set, and the
+    result transposed when transposed is set."""
+    m = IntMatrix.identity(n)
+    rows = m.data
+    for i, j, c in ops:
+        if c is None:
+            rows[i], rows[j] = rows[j], rows[i]
+        elif i == j:
+            rows[i] = [-x for x in rows[i]]
+        elif inverted:
+            rows[j] = [x - c * y for x, y in zip(rows[j], rows[i])]
+        else:
+            rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    if transposed:
+        m.data = [list(col) for col in zip(*rows)]
+    return m
 
 
 class SmithForm:
-    """One tracked factorization u @ a @ v == d of an integer matrix a.
+    """One factorization u @ a @ v == d of an integer matrix a, with d
+    diagonal in Smith normal form.
 
     Factor a matrix once and answer every solve and kernel question about
-    it from the factors: u, v, v_inv and the diagonal of d are kept.
+    it from the factors.  The elimination changes only a working copy of
+    a, keeps its diagonal and records each row and column operation as
+    (i, j, c): c None swaps i and j, i == j negates i, and otherwise c
+    times j is added to i.  Each transform is built when first read, by
+    one pass over one list applied as row operations to an identity:
+    u replays the row operations as they are; v_inv the column operations
+    inverted (col_i += c col_j becomes row_j -= c row_i); v, transposed
+    after, the column operations transposed (row_i += c row_j); u_inv,
+    transposed after, the row operations inverted and transposed (row_j
+    -= c row_i).  Swaps and negations are their own inverse and transpose.
     """
 
-    __slots__ = ("cols", "u", "v", "v_inv", "diagonal")
-
     def __init__(self, a: IntMatrix):
-        d, u, v, _, v_inv = _smith_tracked(a)
-        self.cols = a.cols
-        self.u = u
-        self.v = v
-        self.v_inv = v_inv
-        self.diagonal = [d.data[t][t] for t in range(min(a.rows, a.cols))]
+        self.rows, self.cols = a.rows, a.cols
+        self._row_ops: list[tuple] = []
+        self._col_ops: list[tuple] = []
+        rows, cols, data = self.rows, self.cols, a.to_lists()
+
+        def row_add(i, j, c):
+            data[i] = [x + c * y for x, y in zip(data[i], data[j])]
+            self._row_ops.append((i, j, c))
+
+        t = 0
+        limit = min(rows, cols)
+        while t < limit:
+            pivot = None
+            best = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    val = abs(data[i][j])
+                    if val and (best is None or val < best):
+                        best = val
+                        pivot = (i, j)
+            if pivot is None:
+                break
+            i, j = pivot
+            if i != t:
+                data[t], data[i] = data[i], data[t]
+                self._row_ops.append((t, i, None))
+            if j != t:
+                for r in data:
+                    r[t], r[j] = r[j], r[t]
+                self._col_ops.append((t, j, None))
+            if data[t][t] < 0:
+                data[t] = [-x for x in data[t]]
+                self._row_ops.append((t, t, -1))
+            p = data[t][t]
+            dirty = False
+            for i in range(t + 1, rows):
+                if data[i][t]:
+                    row_add(i, t, -(data[i][t] // p))
+                    if data[i][t]:
+                        dirty = True
+            for j in range(t + 1, cols):
+                if data[t][j]:
+                    c = -(data[t][j] // p)
+                    for r in data:
+                        r[j] += c * r[t]
+                    self._col_ops.append((j, t, c))
+                    if data[t][j]:
+                        dirty = True
+            if dirty:
+                continue
+            # rows below with an entry that p does not divide
+            stuck = [i for i in range(t + 1, rows) if any(x % p for x in data[i][t + 1:])]
+            if stuck:
+                row_add(t, stuck[0], 1)
+            else:
+                t += 1
+        self.diagonal = [data[t][t] for t in range(limit)]
+
+    @cached_property
+    def u(self) -> IntMatrix:
+        return _replay(self.rows, self._row_ops, inverted=False, transposed=False)
+
+    @cached_property
+    def u_inv(self) -> IntMatrix:
+        return _replay(self.rows, self._row_ops, inverted=True, transposed=True)
+
+    @cached_property
+    def v(self) -> IntMatrix:
+        return _replay(self.cols, self._col_ops, inverted=False, transposed=True)
+
+    @cached_property
+    def v_inv(self) -> IntMatrix:
+        return _replay(self.cols, self._col_ops, inverted=True, transposed=False)
 
     def solve(self, b: list[int]) -> list[int] | None:
         """One integer solution x of a @ x = b, or None."""
@@ -243,7 +230,7 @@ class SmithForm:
 
     def onto(self) -> bool:
         """Whether a maps onto Z^rows: a unit on the diagonal in every row."""
-        return len(self.diagonal) == self.u.rows and all(abs(d) == 1 for d in self.diagonal)
+        return len(self.diagonal) == self.rows and all(abs(d) == 1 for d in self.diagonal)
 
     def _free(self) -> list[int]:
         return [j for j in range(self.cols) if j >= len(self.diagonal) or not self.diagonal[j]]
@@ -256,6 +243,19 @@ class SmithForm:
         """Rows taking a kernel vector to its coordinates in kernel()."""
         rows = [self.v_inv.data[j] for j in self._free()]
         return IntMatrix(len(rows), self.cols, rows)
+
+
+def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (d, u, v) with d = u @ matrix @ v in Smith normal form."""
+    if not isinstance(matrix, IntMatrix):
+        rows = len(matrix)
+        cols = len(matrix[0]) if rows else 0
+        matrix = IntMatrix(rows, cols, matrix)
+    form = SmithForm(matrix)
+    d = IntMatrix(matrix.rows, matrix.cols)
+    for t, x in enumerate(form.diagonal):
+        d.data[t][t] = x
+    return d, form.u, form.v
 
 
 def solve_integer(a: IntMatrix, b: list[int]) -> list[int] | None:
@@ -564,8 +564,10 @@ class HomologyProfile:
 
 def homology_of_reduction(red: Reduction, top: int | None = None) -> HomologyProfile:
     """Homology from two Smith forms per degree of the remainder: d_k's
-    gives the cycle basis and each cycle's coordinates in it, the
-    relations' the generators, which are lifted back to the original cells."""
+    v and v_inv give the cycle basis and each cycle's coordinates in it,
+    the relations' diagonal, u and u_inv the orders, generators and their
+    coordinates.  The relations' column transforms, as wide as the next
+    degree's remainder, are never built.  Generators are lifted back."""
     cx = red.remainder
     groups = []
     limit = cx.dimension if top is None else top
@@ -577,12 +579,10 @@ def homology_of_reduction(red: Reduction, top: int | None = None) -> HomologyPro
             [sum(r[i] * c for i, c in col.items()) for r in rows.data]
             for col in cx.boundary(k + 1).entries
         ]
-        d, up, _, upinv, _ = _smith_tracked(IntMatrix.from_columns(kern.cols, rels))
-        orders_full = []
-        for i in range(kern.cols):
-            val = d.data[i][i] if i < min(d.rows, d.cols) else 0
-            orders_full.append(abs(val))
-        gens_full = kern @ upinv
+        relations = SmithForm(IntMatrix.from_columns(kern.cols, rels))
+        orders_full = [abs(x) for x in relations.diagonal]
+        orders_full += [0] * (kern.cols - len(orders_full))
+        gens_full = kern @ relations.u_inv
         kept_cols = []
         kept_orders = []
         for i, order in enumerate(orders_full):
@@ -599,7 +599,7 @@ def homology_of_reduction(red: Reduction, top: int | None = None) -> HomologyPro
                 torsion,
                 IntMatrix.from_columns(red.original.rank(k), kept_cols),
                 kept_orders,
-                _coordinates=up @ rows,
+                _coordinates=relations.u @ rows,
                 _orders_full=orders_full,
                 _reduction=red,
             )

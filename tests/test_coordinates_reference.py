@@ -17,7 +17,6 @@ from sslift.corpus import random_poset
 from sslift.homology import (
     IntMatrix,
     SmithForm,
-    _smith_tracked,
     chain_complex,
     homology,
     kernel_basis,
@@ -26,6 +25,7 @@ from sslift.homology import (
 from sslift.products import Fiber, Product
 from sslift.sset import SimplexRef, SimplicialSet, boundary
 
+from tests.smith_reference import _smith_tracked
 from tests.test_homology import random_matrices
 from tests.test_sset import loop_space
 from tests.test_transport import comma_projections

@@ -4,7 +4,8 @@ The digests pin the exact bytes (and exit codes) of `fibers`,
 `transport` (along degenerate edges too), `ltg-check`, `theorem-b` (on the functor fixtures and on
 the identities of chain[3] and chain[4]) and `certify` (on every map
 fixture, at the default cap and at caps 2-4, which fixes witnesses and
-problem counts), so that a change in how the reports are built cannot
+problem counts), and of `homology` and `theorem-b` on truncated nerves of
+Z/n, so that a change in how the reports are built cannot
 change a byte of what they print.  Replace a
 digest only for a declared change of output.
 """
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from sslift.cat import chain_poset, identity_functor
+from sslift.cat import chain_poset, cyclic_group_category, identity_functor, nerve
 from sslift.cli import main
 from sslift.formats import save_path
 
@@ -147,4 +148,28 @@ def test_theorem_b_on_chain_identity_matches_golden_digest(n, digest, tmp_path):
     with contextlib.redirect_stdout(out):
         got = main(["--json", "theorem-b", str(path)])
     assert got == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest
+
+
+# truncated complexes: the Z/6 nerve at cap 6 (19,531 cells) and the comma
+# nerves of the identity of Z/3 at cap 4, whose relation matrices below the
+# cap are as wide as the cap degree's remainder
+TRUNCATED_GOLDEN = [
+    ("z6_cap6.ssx", lambda: nerve(cyclic_group_category(6), 6).sset, ("homology",), 2,
+     "53de978f9a2c493b5b1878b9460873545cc45c7be05798b7cdd47e42161ff180"),
+    ("z3.cat", lambda: identity_functor(cyclic_group_category(3)), ("theorem-b", "--cap", "4"), 0,
+     "fbdecf2ec6f913f1f2f5ebb5b6a2c1c026263e0e57661c91e3c491f30c237d4e"),
+]
+
+
+@pytest.mark.parametrize(
+    "name, build, argv, code, digest", TRUNCATED_GOLDEN, ids=[g[0] for g in TRUNCATED_GOLDEN]
+)
+def test_truncated_report_matches_golden_digest(name, build, argv, code, digest, tmp_path):
+    path = tmp_path / name
+    save_path(str(path), build())
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        got = main(["--json", *argv, str(path)])
+    assert got == code
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == digest

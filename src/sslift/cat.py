@@ -387,6 +387,14 @@ def _comma_mor_id(u: str, v: str, g1: str, g2: str) -> str:
     return f"({u},{v}):{g1}>{g2}"
 
 
+def _fresh(named: dict, key: str, what: str) -> str:
+    """key, checked to name nothing yet: ids containing ',', '(', ')', ':'
+    or '>' can spell two different comma cells the same way."""
+    if key in named:
+        raise SimplicialError(f"comma {what} id {key!r} would name two different {what}s")
+    return key
+
+
 def comma_category(f: Functor) -> tuple[FiniteCategory, Functor, Functor]:
     """The comma category of a functor F: C -> D over all of D.
 
@@ -401,7 +409,7 @@ def comma_category(f: Functor) -> tuple[FiniteCategory, Functor, Functor]:
         fc = f.object_map[c]
         for d in d_cat.objects:
             for g in d_cat.hom(fc, d):
-                oid = _comma_obj_id(c, g)
+                oid = _fresh(obj_data, _comma_obj_id(c, g), "object")
                 objects.append(oid)
                 obj_data[oid] = (c, g)
     objects.sort()
@@ -419,7 +427,7 @@ def comma_category(f: Functor) -> tuple[FiniteCategory, Functor, Functor]:
                 for v in d_cat.hom(d1, d2):
                     if d_cat.compose_pair(g2, fu) != d_cat.compose_pair(v, g1):
                         continue
-                    mid = _comma_mor_id(u, v, g1, g2)
+                    mid = _fresh(morphisms, _comma_mor_id(u, v, g1, g2), "morphism")
                     morphisms[mid] = (o1, o2)
                     mor_data[mid] = (u, v)
                     if o1 == o2 and c_cat.is_identity(u) and d_cat.is_identity(v):
@@ -466,7 +474,7 @@ def slice_category(f: Functor, d: str) -> tuple[FiniteCategory, Functor]:
     obj_data: dict[str, tuple[str, str]] = {}
     for c in c_cat.objects:
         for g in d_cat.hom(f.object_map[c], d):
-            oid = _comma_obj_id(c, g)
+            oid = _fresh(obj_data, _comma_obj_id(c, g), "object")
             objects.append(oid)
             obj_data[oid] = (c, g)
     objects.sort()
@@ -480,7 +488,7 @@ def slice_category(f: Functor, d: str) -> tuple[FiniteCategory, Functor]:
             for u in c_cat.hom(c1, c2):
                 if d_cat.compose_pair(g2, f.morphism_map[u]) != g1:
                     continue
-                mid = f"({u}):{g1}>{g2}"
+                mid = _fresh(morphisms, f"({u}):{g1}>{g2}", "morphism")
                 morphisms[mid] = (o1, o2)
                 mor_data[mid] = u
                 if o1 == o2 and c_cat.is_identity(u):

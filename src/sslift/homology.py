@@ -39,7 +39,7 @@ class IntMatrix:
         if data is None:
             self.data = [[0] * cols for _ in range(rows)]
         else:
-            self.data = [[int(v) for v in row] for row in data]
+            self.data = [list(row) for row in data]
             if len(self.data) != rows or any(len(r) != cols for r in self.data):
                 raise ValueError("matrix data does not match shape")
 
@@ -58,7 +58,7 @@ class IntMatrix:
             if len(col) != rows:
                 raise ValueError("column length mismatch")
             for i, v in enumerate(col):
-                m.data[i][j] = int(v)
+                m.data[i][j] = v
         return m
 
     def copy(self) -> "IntMatrix":
@@ -250,7 +250,7 @@ def smith_normal_form(matrix) -> tuple[IntMatrix, IntMatrix, IntMatrix]:
     if not isinstance(matrix, IntMatrix):
         rows = len(matrix)
         cols = len(matrix[0]) if rows else 0
-        matrix = IntMatrix(rows, cols, matrix)
+        matrix = IntMatrix(rows, cols, [[int(v) for v in row] for row in matrix])
     form = SmithForm(matrix)
     d = IntMatrix(matrix.rows, matrix.cols)
     for t, x in enumerate(form.diagonal):
@@ -489,7 +489,7 @@ class HomologyGroup:
     of order t; generators are columns of gens in the cell basis.  A cycle
     is expressed in this basis by projecting it onto the reduced complex
     and applying one stored matrix, which takes a remainder cycle to its
-    coordinates in the full generator list (order-1 generators included).
+    coordinates in the kept generators.
     """
 
     degree: int
@@ -498,7 +498,6 @@ class HomologyGroup:
     gens: IntMatrix
     orders: list[int]
     _coordinates: IntMatrix = field(repr=False, default=None)  # remainder cycle -> coordinates
-    _orders_full: list[int] = field(repr=False, default=None)
     _reduction: Reduction | None = field(repr=False, default=None)
 
     def coordinates(self, cycle: list[int]) -> list[int] | None:
@@ -510,7 +509,7 @@ class HomologyGroup:
         if any(red.original.boundary(self.degree).mul_vec(cycle)):
             return None
         t = self._coordinates.mul_vec(red.project(self.degree, cycle))
-        return [x % order if order else x for x, order in zip(t, self._orders_full) if order != 1]
+        return [x % order if order else x for x, order in zip(t, self.orders)]
 
     def with_relations(self, matrix: IntMatrix) -> IntMatrix:
         """matrix, a map into this group's generators, with the relations
@@ -583,13 +582,10 @@ def homology_of_reduction(red: Reduction, top: int | None = None) -> HomologyPro
         orders_full = [abs(x) for x in relations.diagonal]
         orders_full += [0] * (kern.cols - len(orders_full))
         gens_full = kern @ relations.u_inv
-        kept_cols = []
-        kept_orders = []
-        for i, order in enumerate(orders_full):
-            if order == 1:
-                continue
-            kept_cols.append(red.lift(k, gens_full.column(i)))
-            kept_orders.append(order)
+        kept = [i for i, order in enumerate(orders_full) if order != 1]
+        kept_cols = [red.lift(k, gens_full.column(i)) for i in kept]
+        kept_orders = [orders_full[i] for i in kept]
+        u = relations.u
         torsion = sorted(o for o in kept_orders if o)
         betti = sum(1 for o in kept_orders if o == 0)
         groups.append(
@@ -599,8 +595,7 @@ def homology_of_reduction(red: Reduction, top: int | None = None) -> HomologyPro
                 torsion,
                 IntMatrix.from_columns(red.original.rank(k), kept_cols),
                 kept_orders,
-                _coordinates=relations.u @ rows,
-                _orders_full=orders_full,
+                _coordinates=IntMatrix(len(kept), u.cols, [u.data[i] for i in kept]) @ rows,
                 _reduction=red,
             )
         )

@@ -23,10 +23,14 @@ builds a HornProblem only for the witness it reports.
 Certificates answer three questions up to a degree cap: are all inner
 horns solvable, does every edge of the target admit a cartesian lift
 with prescribed endpoint, and dually for cocartesian lifts (checked on
-the opposite map).  For nerves of categories the inner range n <= 3 is
-decisive, so nerve-tagged inputs default to cap 3 and are marked
-conclusive there; otherwise a certificate only speaks for the checked
-range.
+the opposite of the map restricted to the cap skeleton of its source,
+all that the tests up to the cap read).  One least-lift search, on ids,
+picks the least edge over a target edge at a vertex that passes the
+horn test: the (co)cartesian certificates ask it whether such an edge
+exists, and the homotopy lifter takes the cocartesian one it finds.
+For nerves of categories the inner range n <= 3 is decisive, so
+nerve-tagged inputs default to cap 3 and are marked conclusive there;
+otherwise a certificate only speaks for the checked range.
 """
 
 from __future__ import annotations
@@ -44,7 +48,9 @@ from .sset import (
     kept,
     op_ref,
     opposite_map,
+    restrict_map,
     simplex_in_standard,
+    skeleton,
     standard_simplex,
 )
 
@@ -173,17 +179,16 @@ def _face_index(
 
 
 @kept
-def _last_edge_index(x: SimplicialSet, degree: int) -> dict[int, dict[int, None]]:
-    """Degree-n ids of x keyed by their last edge, each group a dict used
-    as an ordered set (iteration in candidate order, O(1) `in`)."""
+def _last_edge_index(x: SimplicialSet, degree: int) -> dict[int, list[int]]:
+    """Degree-n ids of x keyed by their last edge, in candidate order."""
     # the last edge {n-1, n} is what n-1 times d_0 leaves
     tables = [_face_table(x, d) for d in range(degree, 1, -1)]
-    index: dict[int, dict[int, None]] = {}
+    index: dict[int, list[int]] = {}
     for r in range(len(_face_table(x, degree))):
         e = r
         for faces in tables:
             e = faces[e][0]
-        index.setdefault(e, {})[r] = None
+        index.setdefault(e, []).append(r)
     return index
 
 
@@ -214,7 +219,12 @@ def _solution_table(p: SMap, n: int, i: int) -> dict[tuple[int, ...], list[int]]
     return table
 
 
-_op_map = kept(opposite_map)
+@kept
+def _op_map(p: SMap, cap: int) -> SMap:
+    """The opposite of p on the cap skeleton of its source: all that the
+    cocartesian tests up to cap read.  Degree 1 is kept even below cap 1,
+    since the edges are what those tests ask about."""
+    return opposite_map(restrict_map(p, skeleton(p.source, max(cap, 1))))
 
 
 # -- single problems ----------------------------------------------------------
@@ -251,39 +261,34 @@ def count_horn_lifts(p: SMap, problem: HornProblem) -> int:
 
 
 def _face_tuples(
-    x: SimplicialSet, n: int, i: int, pool: dict[int, dict] | None
+    x: SimplicialSet, n: int, i: int, first: list[int] | None
 ) -> list[tuple[int, ...]]:
     """All mutually compatible id face tuples for an (n, i)-horn, in order.
 
-    pool may restrict the candidates at a position to an ordered set of
-    ids (a dict in candidate order); tuples are produced lexicographically
-    position by position in candidate order.
+    first may restrict the candidates at the first position to a list of
+    ids in candidate order; tuples are produced lexicographically position
+    by position in candidate order.
     """
     positions = [j for j in range(n + 1) if j != i]
     faces = _face_table(x, n - 1)
-    tuples: list[tuple[int, ...]] = [()]
-    for k, pos in enumerate(positions):
-        allowed = pool.get(pos) if pool else None
-        if k == 0:
-            # nothing constrains the first position
-            tuples = [(c,) for c in (range(len(faces)) if allowed is None else allowed)]
-            continue
+    tuples = [(c,) for c in (range(len(faces)) if first is None else first)]
+    for k, pos in enumerate(positions[1:], 1):
         # a face at the k-th position is looked up by its faces at the k
         # positions chosen before it; matching: d_j c = d_{pos-1} x_j
         index = _face_index(x, n - 1, tuple(positions[:k]))
         grown = []
         for chosen in tuples:
             fits = index.get(tuple([faces[xj][pos - 1] for xj in chosen]), ())
-            grown.extend([chosen + (c,) for c in fits if allowed is None or c in allowed])
+            grown.extend([chosen + (c,) for c in fits])
         tuples = grown
     return tuples
 
 
-def _problems(p: SMap, n: int, i: int, pool: dict[int, dict] | None = None):
+def _problems(p: SMap, n: int, i: int, first: list[int] | None = None):
     """All (n, i)-horn problems against p as (face ids, base id), least first."""
     images = _images(p, n - 1)
     bases = _face_index(p.target, n, tuple(j for j in range(n + 1) if j != i))
-    for faces in _face_tuples(p.source, n, i, pool):
+    for faces in _face_tuples(p.source, n, i, first):
         for base in bases.get(tuple(map(images.__getitem__, faces)), ()):
             yield faces, base
 
@@ -304,14 +309,14 @@ def iter_horn_problems(p: SMap, n: int, i: int):
 
 
 def _first_unsolved(
-    p: SMap, n: int, i: int, pool: dict[int, dict] | None = None
+    p: SMap, n: int, i: int, first: list[int] | None = None
 ) -> tuple[int, HornProblem | None]:
     """Solve every (n, i)-horn problem against p in order: the number
     checked, and the first one without a solution (None if all have one).
     Only that witness is built as a HornProblem."""
     table = None
     checked = 0
-    for faces, base in _problems(p, n, i, pool):
+    for faces, base in _problems(p, n, i, first):
         if table is None:
             table = _solution_table(p, n, i)
         checked += 1
@@ -441,6 +446,34 @@ def certify_inner_fibration(p: SMap, cap: int | None = None) -> Certificate:
     )
 
 
+def _edge_test(p: SMap, e: int, cap: int) -> tuple[bool, HornProblem | None, int]:
+    """is_cartesian_edge on the source edge with id e.  Only the first face
+    is pinned to e: the matching conditions d_0 x_k = d_{k-1} x_0 give
+    faces 1..n-2 the same last edge."""
+    checked = 0
+    for n in range(2, cap + 1):
+        first = _last_edge_index(p.source, n - 1).get(e, [])
+        n_checked, witness = _first_unsolved(p, n, n, first)
+        checked += n_checked
+        if witness is not None:
+            return False, witness, checked
+    return True, None, checked
+
+
+def _least_lift(p: SMap, c: int, g: int, cap: int) -> tuple[int | None, int]:
+    """The least edge over the target edge g ending at the source vertex c
+    that passes the right-horn test up to cap (None if none does), and the
+    number of problems checked."""
+    checked = 0
+    # the edges over g ending at c fill the (1, 1)-horn c over g
+    for f in _solution_table(p, 1, 1).get((c, g), ()):
+        ok, _, n_checked = _edge_test(p, f, cap)
+        checked += n_checked
+        if ok:
+            return f, checked
+    return None, checked
+
+
 def is_cartesian_edge(
     p: SMap, edge: SimplexRef, cap: int
 ) -> tuple[bool, HornProblem | None, int]:
@@ -450,25 +483,17 @@ def is_cartesian_edge(
     (the {n-1, n} edge of the would-be filler) is the given edge.
     Returns (verdict, least refuting problem or None, problems checked).
     """
-    x = p.source
-    _check_edge_test(x, edge, cap)
-    e = x.simplex_id(1, edge)
-    checked = 0
-    for n in range(2, cap + 1):
-        last = _last_edge_index(x, n - 1).get(e, {})
-        n_checked, witness = _first_unsolved(p, n, n, dict.fromkeys(range(n - 1), last))
-        checked += n_checked
-        if witness is not None:
-            return False, witness, checked
-    return True, None, checked
+    _check_edge_test(p.source, edge, cap)
+    return _edge_test(p, p.source.simplex_id(1, edge), cap)
 
 
 def is_cocartesian_edge(
     p: SMap, edge: SimplexRef, cap: int
 ) -> tuple[bool, HornProblem | None, int]:
-    """Left-horn dual of is_cartesian_edge, computed on the opposite map."""
+    """Left-horn dual of is_cartesian_edge, computed on the opposite map
+    (an edge keeps its id there)."""
     _check_edge_test(p.source, edge, cap)
-    ok, witness, checked = is_cartesian_edge(_op_map(p), op_ref(edge), cap)
+    ok, witness, checked = _edge_test(_op_map(p, cap), p.source.simplex_id(1, edge), cap)
     return ok, (op_problem(witness) if witness is not None else None), checked
 
 
@@ -479,26 +504,14 @@ def _certify_edge_lifts(p: SMap, kind: str, inner: Certificate) -> Certificate:
     x, y = p.source, p.target
     requested, effective = inner.requested_cap, inner.effective_cap
     vertex_images = _images(p, 0)
-    # the edges over g ending at c fill the (1, 1)-horn c over g
-    over = _solution_table(p, 1, 1)
-    edges = x.refs(1)
     checked = 0
     for g, (target_vertex, _) in enumerate(_face_table(y, 1)):
         for c, image in enumerate(vertex_images):
             if image != target_vertex:
                 continue
-            found = False
-            for f in over.get((c, g), ()):
-                if effective < 2:
-                    # truncation leaves no horn to test the lift against
-                    found = True
-                    break
-                ok, _, n_checked = is_cartesian_edge(p, edges[f], effective)
-                checked += n_checked
-                if ok:
-                    found = True
-                    break
-            if not found:
+            f, n_checked = _least_lift(p, c, g, effective)
+            checked += n_checked
+            if f is None:
                 return Certificate(
                     kind, "refuted", requested, effective, checked,
                     witness=(y.refs(1)[g], x.refs(0)[c]), conclusive=True,
@@ -528,7 +541,7 @@ def certify_edge_lifts(p: SMap, kind: str, inner: Certificate) -> Certificate:
         )
     if kind == "cartesian":
         return _certify_edge_lifts(p, kind, inner)
-    cert = _certify_edge_lifts(_op_map(p), kind, inner)
+    cert = _certify_edge_lifts(_op_map(p, inner.effective_cap), kind, inner)
     if cert.witness is not None:
         edge, vertex = cert.witness
         cert.witness = (op_ref(edge), vertex)
@@ -684,6 +697,7 @@ def lift_homotopy(
                     raise SimplicialError("j_sub must be a subobject of the cylinder base")
     needed = prism.sset.dimension
     edge_cap = cap if cap is not None else max(needed, 2)
+    _check_cap(edge_cap)
     if certificate is not None:
         if not certificate.covers(needed) or certificate.kind not in (
             "inner",
@@ -733,20 +747,16 @@ def lift_homotopy(
                 edge_cell = prism.pair_ref(SimplexRef(1, (0,), c), EDGE_01).cell
                 g = homotopy.value(1, edge_cell)
                 startv = values[(0, bottom.cell)]
-                chosen = None
-                # the edges over g starting at startv fill the (1, 0)-horn startv over g
-                for f in iter_horn_solutions(p, HornProblem(1, 0, ((1, startv),), g)):
-                    ok, _, _ = is_cocartesian_edge(p, f, edge_cap)
-                    if ok:
-                        chosen = f
-                        break
-                if chosen is None:
+                # the edges starting at startv end there in the opposite,
+                # where vertices and edges keep their ids
+                op = _op_map(p, edge_cap)
+                f, _ = _least_lift(op, x.simplex_id(0, startv), y.simplex_id(1, g), edge_cap)
+                if f is None:
                     raise LiftObstruction(
                         "inconclusive",
                         f"no cocartesian edge over {g} starting at {startv}",
                     )
-                designated[c] = chosen
-                values[(1, edge_cell)] = chosen
+                chosen = designated[c] = values[(1, edge_cell)] = x.refs(1)[f]
                 top = prism.pair_ref(SimplexRef(0, (), c), VERTEX_1)
                 values[(0, top.cell)] = x.face(chosen, 0)
                 continue

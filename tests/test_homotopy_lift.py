@@ -156,6 +156,20 @@ def test_missing_cocartesian_edge_obstructs():
     assert exc.value.status == "inconclusive"
 
 
+def test_cap_below_two_is_rejected_before_any_search():
+    # no edge of x starts at w over 1.2: the cap is refused before that is found
+    x, p = broken_composite()
+    a = standard_simplex(0)
+    prism = cylinder(a)
+    homotopy = classifying_map(p.target, SimplexRef(1, (), "1.2")).compose(prism.to_right)
+    start, _ = start_map(prism, x, constant_map(a, x, SimplexRef(0, (), "w")))
+    with pytest.raises(LiftObstruction, match="no cocartesian edge"):
+        lift_homotopy(p, prism, homotopy, start)
+    with pytest.raises(SimplicialError, match="at least 2") as exc:
+        lift_homotopy(p, prism, homotopy, start, cap=1)
+    assert not isinstance(exc.value, LiftObstruction)
+
+
 def test_start_map_rejects_mismatched_designation(cover_map):
     x = cover_map.source
     a = standard_simplex(0)

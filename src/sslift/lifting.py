@@ -22,12 +22,15 @@ builds a HornProblem only for the witness it reports.
 
 Certificates answer three questions up to a degree cap: are all inner
 horns solvable, does every edge of the target admit a cartesian lift
-with prescribed endpoint, and dually for cocartesian lifts (checked on
-the opposite of the map restricted to the cap skeleton of its source,
-all that the tests up to the cap read).  One least-lift search, on ids,
-picks the least edge over a target edge at a vertex that passes the
-horn test: the (co)cartesian certificates ask it whether such an edge
-exists, and the homotopy lifter takes the cocartesian one it finds.
+with prescribed endpoint, and dually for cocartesian lifts.  The
+cocartesian tests run as left horns on the map itself, visiting the
+positions n, n-1, ..., 1 with every candidate list in the opposite's
+candidate order, so they pose the opposite map's right-horn problems in
+the opposite's order without building the opposite.  One least-lift
+search, on ids, picks the least edge over a target edge at a vertex
+that passes the horn test: the (co)cartesian certificates ask it
+whether such an edge exists, and the homotopy lifter takes the
+cocartesian one it finds.
 For nerves of categories the inner range n <= 3 is decisive, so
 nerve-tagged inputs default to cap 3 and are marked conclusive there;
 otherwise a certificate only speaks for the checked range.
@@ -47,10 +50,7 @@ from .sset import (
     image_of_ref,
     kept,
     op_ref,
-    opposite_map,
-    restrict_map,
     simplex_in_standard,
-    skeleton,
     standard_simplex,
 )
 
@@ -120,9 +120,11 @@ def op_problem(problem: HornProblem) -> HornProblem:
 # -- lookup tables ------------------------------------------------------------
 #
 # An id is a position in candidate order (SimplicialSet.blocks).  Every
-# table lists ids in that order, so a lookup yields exactly what a scan
-# of refs(n) would keep, in the same order.  sset.kept builds each table
-# on first use and keeps it on the object or map it describes.
+# table lists ids in that order, or in the opposite's candidate order
+# (_op_order) where a left horn asks, so a lookup yields exactly what a
+# scan of refs(n), or of the opposite's, would keep, in the same order.
+# sset.kept builds each table on first use and keeps it on the object or
+# map it describes, keyed by the arguments as passed.
 
 
 def _degenerated(x: SimplicialSet, d: int, epi: tuple[int, ...], n: int) -> dict:
@@ -168,12 +170,24 @@ def _face_table(x: SimplicialSet, n: int) -> list[tuple[int, ...]]:
 
 
 @kept
+def _op_order(x: SimplicialSet, n: int) -> list[int]:
+    """x's degree-n ids in the opposite's candidate order: x's blocks by
+    (length, reflected word), each keeping its cells' ranks."""
+    blocks = x.blocks(n)
+    order = sorted(blocks, key=lambda w: (len(w), W.word_op(w, n)))
+    return [r for w in order for r in range(blocks[w][0], blocks[w][0] + len(blocks[w][1]))]
+
+
+@kept
 def _face_index(
-    x: SimplicialSet, degree: int, positions: tuple[int, ...]
+    x: SimplicialSet, degree: int, positions: tuple[int, ...], left: bool
 ) -> dict[tuple[int, ...], list[int]]:
-    """Degree-n ids of x keyed by their faces at the given positions."""
+    """Degree-n ids of x keyed by their faces at the given positions, in
+    candidate order, or in the opposite's when left."""
+    table = _face_table(x, degree)
     index: dict[tuple[int, ...], list[int]] = {}
-    for r, faces in enumerate(_face_table(x, degree)):
+    for r in _op_order(x, degree) if left else range(len(table)):
+        faces = table[r]
         index.setdefault(tuple([faces[j] for j in positions]), []).append(r)
     return index
 
@@ -188,6 +202,21 @@ def _last_edge_index(x: SimplicialSet, degree: int) -> dict[int, list[int]]:
         e = r
         for faces in tables:
             e = faces[e][0]
+        index.setdefault(e, []).append(r)
+    return index
+
+
+@kept
+def _first_edge_index(x: SimplicialSet, degree: int) -> dict[int, list[int]]:
+    """Degree-n ids of x keyed by their first edge, in the opposite's
+    candidate order: the last edge of their opposites."""
+    # the first edge {0, 1} is what n-1 times the last face leaves
+    tables = [(_face_table(x, d), d) for d in range(degree, 1, -1)]
+    index: dict[int, list[int]] = {}
+    for r in _op_order(x, degree):
+        e = r
+        for faces, d in tables:
+            e = faces[e][d]
         index.setdefault(e, []).append(r)
     return index
 
@@ -220,11 +249,28 @@ def _solution_table(p: SMap, n: int, i: int) -> dict[tuple[int, ...], list[int]]
 
 
 @kept
-def _op_map(p: SMap, cap: int) -> SMap:
-    """The opposite of p on the cap skeleton of its source: all that the
-    cocartesian tests up to cap read.  Degree 1 is kept even below cap 1,
-    since the edges are what those tests ask about."""
-    return opposite_map(restrict_map(p, skeleton(p.source, max(cap, 1))))
+def _plan(p: SMap, n: int, i: int, left: bool):
+    """How the (n, i)-horn problems against p are enumerated: faces and
+    first candidates, a step per later position, images and bases.
+
+    Positions are visited in ascending order, or n, n-1, ..., 1 with every
+    list in the opposite's candidate order for a left plan (i = 0): the
+    opposite's (n, n)-horn problems in the opposite's order.  A step looks
+    x_b up by its faces at the positions a chosen before it: d_a x_b =
+    d_{b-1} x_a when a < b, d_{a-1} x_b = d_b x_a when a > b.
+    """
+    x, faces = p.source, _face_table(p.source, n - 1)
+    positions = list(range(n, 0, -1)) if left else [j for j in range(n + 1) if j != i]
+    steps = []
+    for k, b in enumerate(positions[1:], 1):
+        if left:  # every a chosen before b is above it
+            keys, face = tuple([a - 1 for a in positions[:k]]), b
+        else:  # every a chosen before b is below it
+            keys, face = tuple(positions[:k]), b - 1
+        steps.append((_face_index(x, n - 1, keys, left), face))
+    start = _op_order(x, n - 1) if left else range(len(faces))
+    bases = _face_index(p.target, n, tuple(positions), left)
+    return faces, start, steps, _images(p, n - 1), bases
 
 
 # -- single problems ----------------------------------------------------------
@@ -260,41 +306,24 @@ def count_horn_lifts(p: SMap, problem: HornProblem) -> int:
 # -- problem enumeration ------------------------------------------------------
 
 
-def _face_tuples(
-    x: SimplicialSet, n: int, i: int, first: list[int] | None
-) -> list[tuple[int, ...]]:
-    """All mutually compatible id face tuples for an (n, i)-horn, in order.
-
-    first may restrict the candidates at the first position to a list of
-    ids in candidate order; tuples are produced lexicographically position
-    by position in candidate order.
-    """
-    positions = [j for j in range(n + 1) if j != i]
-    faces = _face_table(x, n - 1)
-    tuples = [(c,) for c in (range(len(faces)) if first is None else first)]
-    for k, pos in enumerate(positions[1:], 1):
-        # a face at the k-th position is looked up by its faces at the k
-        # positions chosen before it; matching: d_j c = d_{pos-1} x_j
-        index = _face_index(x, n - 1, tuple(positions[:k]))
+def _face_tuples(plan: tuple, first: list[int] | None) -> list[tuple[int, ...]]:
+    """All mutually compatible id face tuples of a plan's horn, by position
+    in its visiting order, lexicographically in its candidate order.  first
+    may restrict the candidates at the first position to a list of ids in
+    that order."""
+    faces, start, steps, _, _ = plan
+    tuples = [(c,) for c in (start if first is None else first)]
+    for index, face in steps:
         grown = []
         for chosen in tuples:
-            fits = index.get(tuple([faces[xj][pos - 1] for xj in chosen]), ())
+            fits = index.get(tuple([faces[a][face] for a in chosen]), ())
             grown.extend([chosen + (c,) for c in fits])
         tuples = grown
     return tuples
 
 
-def _problems(p: SMap, n: int, i: int, first: list[int] | None = None):
-    """All (n, i)-horn problems against p as (face ids, base id), least first."""
-    images = _images(p, n - 1)
-    bases = _face_index(p.target, n, tuple(j for j in range(n + 1) if j != i))
-    for faces in _face_tuples(p.source, n, i, first):
-        for base in bases.get(tuple(map(images.__getitem__, faces)), ()):
-            yield faces, base
-
-
 def _problem(p: SMap, n: int, i: int, faces: tuple[int, ...], base: int) -> HornProblem:
-    """The HornProblem named by ids."""
+    """The HornProblem named by ids, faces in ascending position order."""
     refs = p.source.refs(n - 1)
     positions = [j for j in range(n + 1) if j != i]
     return HornProblem(
@@ -304,24 +333,34 @@ def _problem(p: SMap, n: int, i: int, faces: tuple[int, ...], base: int) -> Horn
 
 def iter_horn_problems(p: SMap, n: int, i: int):
     """All (n, i)-horn problems against p, least first."""
-    for faces, base in _problems(p, n, i):
-        yield _problem(p, n, i, faces, base)
+    plan = _plan(p, n, i, False)
+    _, _, _, images, bases = plan
+    for faces in _face_tuples(plan, None):
+        for base in bases.get(tuple(map(images.__getitem__, faces)), ()):
+            yield _problem(p, n, i, faces, base)
 
 
 def _first_unsolved(
-    p: SMap, n: int, i: int, first: list[int] | None = None
-) -> tuple[int, HornProblem | None]:
-    """Solve every (n, i)-horn problem against p in order: the number
-    checked, and the first one without a solution (None if all have one).
-    Only that witness is built as a HornProblem."""
+    p: SMap, n: int, i: int, left: bool, first: list[int] | None = None
+) -> tuple[int, tuple | None]:
+    """Solve every (n, i)-horn problem against p in the plan's order: the
+    number checked, and the arguments of _problem naming the first one
+    without a solution (None if all have one)."""
+    plan = _plan(p, n, i, left)
+    _, _, _, images, bases = plan
     table = None
     checked = 0
-    for faces, base in _problems(p, n, i, first):
+    for chosen in _face_tuples(plan, first):
+        over = bases.get(tuple(map(images.__getitem__, chosen)))
+        if over is None:
+            continue
         if table is None:
             table = _solution_table(p, n, i)
-        checked += 1
-        if faces + (base,) not in table:
-            return checked, _problem(p, n, i, faces, base)
+        faces = chosen[::-1] if left else chosen
+        for base in over:
+            checked += 1
+            if faces + (base,) not in table:
+                return checked, (n, i, faces, base)
     return checked, None
 
 
@@ -405,14 +444,6 @@ def _check_cap(cap: int) -> None:
         raise SimplicialError(f"horn degree cap must be at least 2, got {cap}")
 
 
-def _check_edge_test(x: SimplicialSet, edge: SimplexRef, cap: int) -> None:
-    """Reject an edge test on a ref that is no edge of x, or a cap below 2."""
-    x.resolve(edge)
-    if edge.degree != 1:
-        raise SimplicialError("cartesian test wants an edge reference")
-    _check_cap(cap)
-
-
 def certify_inner_fibration(p: SMap, cap: int | None = None) -> Certificate:
     """Solve every inner horn problem with 2 <= n <= cap against p.
 
@@ -427,12 +458,12 @@ def certify_inner_fibration(p: SMap, cap: int | None = None) -> Certificate:
     checked = 0
     for n in range(2, effective + 1):
         for i in range(1, n):
-            n_checked, witness = _first_unsolved(p, n, i)
+            n_checked, unsolved = _first_unsolved(p, n, i, False)
             checked += n_checked
-            if witness is not None:
+            if unsolved is not None:
                 return Certificate(
                     "inner", "refuted", requested, effective, checked,
-                    witness=witness, conclusive=True, notes=tuple(notes),
+                    witness=_problem(p, *unsolved), conclusive=True, notes=tuple(notes),
                 )
     status = "certified"
     if effective < requested and not conclusive:
@@ -446,32 +477,46 @@ def certify_inner_fibration(p: SMap, cap: int | None = None) -> Certificate:
     )
 
 
-def _edge_test(p: SMap, e: int, cap: int) -> tuple[bool, HornProblem | None, int]:
-    """is_cartesian_edge on the source edge with id e.  Only the first face
-    is pinned to e: the matching conditions d_0 x_k = d_{k-1} x_0 give
-    faces 1..n-2 the same last edge."""
+def _edge_test(p: SMap, e: int, cap: int, left: bool) -> tuple[tuple | None, int]:
+    """The right-horn (left-horn when left) test of the source edge with id
+    e up to cap: the least unsolved problem as _problem's arguments, or
+    None, and the number checked.  Only x_n is pinned to e, by its last
+    (first) edge; matching with x_n gives the other faces the same edge."""
     checked = 0
     for n in range(2, cap + 1):
-        first = _last_edge_index(p.source, n - 1).get(e, [])
-        n_checked, witness = _first_unsolved(p, n, n, first)
+        pins = (_first_edge_index if left else _last_edge_index)(p.source, n - 1)
+        n_checked, unsolved = _first_unsolved(p, n, 0 if left else n, left, pins.get(e, []))
         checked += n_checked
-        if witness is not None:
-            return False, witness, checked
-    return True, None, checked
+        if unsolved is not None:
+            return unsolved, checked
+    return None, checked
 
 
-def _least_lift(p: SMap, c: int, g: int, cap: int) -> tuple[int | None, int]:
+def _least_lift(p: SMap, c: int, g: int, cap: int, left: bool) -> tuple[int | None, int]:
     """The least edge over the target edge g ending at the source vertex c
-    that passes the right-horn test up to cap (None if none does), and the
-    number of problems checked."""
+    (starting there when left) that passes the right-horn (left-horn) test
+    up to cap, None if none does, and the number of problems checked."""
     checked = 0
-    # the edges over g ending at c fill the (1, 1)-horn c over g
-    for f in _solution_table(p, 1, 1).get((c, g), ()):
-        ok, _, n_checked = _edge_test(p, f, cap)
+    # the edges over g ending (starting) at c fill the (1, 1)-horn ((1, 0)-horn) c over g
+    for f in _solution_table(p, 1, 0 if left else 1).get((c, g), ()):
+        unsolved, n_checked = _edge_test(p, f, cap, left)
         checked += n_checked
-        if ok:
+        if unsolved is None:
             return f, checked
     return None, checked
+
+
+def _public_edge_test(
+    p: SMap, edge: SimplexRef, cap: int, left: bool
+) -> tuple[bool, HornProblem | None, int]:
+    """An edge test on a ref, rejecting one that is no edge of p's source,
+    or a cap below 2; only a refutation builds a HornProblem."""
+    p.source.resolve(edge)
+    if edge.degree != 1:
+        raise SimplicialError("cartesian test wants an edge reference")
+    _check_cap(cap)
+    unsolved, checked = _edge_test(p, p.source.simplex_id(1, edge), cap, left)
+    return unsolved is None, (None if unsolved is None else _problem(p, *unsolved)), checked
 
 
 def is_cartesian_edge(
@@ -483,33 +528,47 @@ def is_cartesian_edge(
     (the {n-1, n} edge of the would-be filler) is the given edge.
     Returns (verdict, least refuting problem or None, problems checked).
     """
-    _check_edge_test(p.source, edge, cap)
-    return _edge_test(p, p.source.simplex_id(1, edge), cap)
+    return _public_edge_test(p, edge, cap, False)
 
 
 def is_cocartesian_edge(
     p: SMap, edge: SimplexRef, cap: int
 ) -> tuple[bool, HornProblem | None, int]:
-    """Left-horn dual of is_cartesian_edge, computed on the opposite map
-    (an edge keeps its id there)."""
-    _check_edge_test(p.source, edge, cap)
-    ok, witness, checked = _edge_test(_op_map(p, cap), p.source.simplex_id(1, edge), cap)
-    return ok, (op_problem(witness) if witness is not None else None), checked
+    """Left-horn dual of is_cartesian_edge: every (n, 0)-horn problem with
+    2 <= n <= cap whose first edge is the given edge, run on p itself in
+    the opposite's candidate order.  Verdict, count and witness are those
+    of is_cartesian_edge on the opposite map, the witness stated for p."""
+    return _public_edge_test(p, edge, cap, True)
 
 
-def _certify_edge_lifts(p: SMap, kind: str, inner: Certificate) -> Certificate:
-    """Existence of cartesian lifts: for every edge of the target and every
-    vertex over its endpoint, some edge over it with that endpoint passes
-    the right-horn test."""
-    x, y = p.source, p.target
+def certify_edge_lifts(p: SMap, kind: str, inner: Certificate) -> Certificate:
+    """The "cartesian" or "cocartesian" certificate of p, given its inner one.
+
+    For every edge of the target and every vertex over its end (its start,
+    for cocartesian), some edge over it with that end (start) passes the
+    right-horn (left-horn) test.  A refuted inner certificate refutes both,
+    with its own witness.
+    """
+    if kind not in ("cartesian", "cocartesian"):
+        raise ValueError(f"no edge-lift certificate of kind {kind!r}")
     requested, effective = inner.requested_cap, inner.effective_cap
+    if inner.status == "refuted":
+        return Certificate(
+            kind, "refuted", requested, effective, 0,
+            witness=inner.witness, conclusive=True,
+            notes=("the inner condition is already refuted; see its witness",),
+        )
+    x, y = p.source, p.target
+    left = kind == "cocartesian"
     vertex_images = _images(p, 0)
     checked = 0
-    for g, (target_vertex, _) in enumerate(_face_table(y, 1)):
+    # an edge g's faces are (d_0 g, d_1 g) = (its end, its start)
+    for g, ends in enumerate(_face_table(y, 1)):
+        target_vertex = ends[1 if left else 0]
         for c, image in enumerate(vertex_images):
             if image != target_vertex:
                 continue
-            f, n_checked = _least_lift(p, c, g, effective)
+            f, n_checked = _least_lift(p, c, g, effective, left)
             checked += n_checked
             if f is None:
                 return Certificate(
@@ -521,31 +580,6 @@ def _certify_edge_lifts(p: SMap, kind: str, inner: Certificate) -> Certificate:
         kind, inner.status, requested, effective, checked,
         conclusive=inner.conclusive, notes=inner.notes,
     )
-
-
-def certify_edge_lifts(p: SMap, kind: str, inner: Certificate) -> Certificate:
-    """The "cartesian" or "cocartesian" certificate of p, given its inner one.
-
-    Cartesian lifts are sought with prescribed target vertex; cocartesian
-    lifts with prescribed source vertex, by running the cartesian search
-    on the opposite map and translating witnesses back.  A refuted inner
-    certificate refutes both, with its own witness.
-    """
-    if kind not in ("cartesian", "cocartesian"):
-        raise ValueError(f"no edge-lift certificate of kind {kind!r}")
-    if inner.status == "refuted":
-        return Certificate(
-            kind, "refuted", inner.requested_cap, inner.effective_cap, 0,
-            witness=inner.witness, conclusive=True,
-            notes=("the inner condition is already refuted; see its witness",),
-        )
-    if kind == "cartesian":
-        return _certify_edge_lifts(p, kind, inner)
-    cert = _certify_edge_lifts(_op_map(p, inner.effective_cap), kind, inner)
-    if cert.witness is not None:
-        edge, vertex = cert.witness
-        cert.witness = (op_ref(edge), vertex)
-    return cert
 
 
 @dataclass
@@ -747,10 +781,9 @@ def lift_homotopy(
                 edge_cell = prism.pair_ref(SimplexRef(1, (0,), c), EDGE_01).cell
                 g = homotopy.value(1, edge_cell)
                 startv = values[(0, bottom.cell)]
-                # the edges starting at startv end there in the opposite,
-                # where vertices and edges keep their ids
-                op = _op_map(p, edge_cap)
-                f, _ = _least_lift(op, x.simplex_id(0, startv), y.simplex_id(1, g), edge_cap)
+                f, _ = _least_lift(
+                    p, x.simplex_id(0, startv), y.simplex_id(1, g), edge_cap, True
+                )
                 if f is None:
                     raise LiftObstruction(
                         "inconclusive",

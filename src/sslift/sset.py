@@ -191,7 +191,31 @@ class SimplicialSet:
         return self.act(r, W.sigma_values(i, r.degree))
 
     def vertex_of(self, r: SimplexRef, i: int) -> SimplexRef:
-        return self.act(r, (i,))
+        """Vertex i of r, read off its cell's vertices through the split of
+        its word (as act reads it); what the table does not cover, such as
+        a foreign ref or a bad index, goes through act."""
+        try:
+            (k,), _ = W.split(r.word, r.degree, (i,))
+            return SimplexRef(0, (), self._vertices(r.cell_degree)[r.cell][k])
+        except (ValueError, LookupError, TypeError):
+            return self.act(r, (i,))
+
+    @kept
+    def _vertices(self, m: int) -> dict[str, tuple[str, ...]]:
+        """The vertices of every degree-m cell, in order: those of d_m c,
+        then the last of d_0 c."""
+        if m == 0:
+            return {c: (c,) for c in self._order[0]}
+
+        def of(f: SimplexRef) -> list[str]:
+            cells = self._vertices(f.cell_degree)[f.cell]
+            return [cells[k] for k in W.word_to_map(f.word, f.degree)]
+
+        out = {}
+        for c in self.n_cells(m):
+            faces = self._faces[m][c]
+            out[c] = (*of(faces[m]), of(faces[0])[-1])
+        return out
 
     def last_edge(self, r: SimplexRef) -> SimplexRef:
         if r.degree < 1:

@@ -1,5 +1,5 @@
-"""The least-lift search and the cocartesian tests on the cap skeleton,
-against the loops they replace.
+"""The least-lift search and the cocartesian tests, run as left horns on
+the map itself, against the loops they replace.
 
 ref_certify_edge_lifts is the certificates' former loop: for each vertex
 over an edge's endpoint it rebuilds each candidate edge's ref and asks the
@@ -264,7 +264,7 @@ def test_the_lifter_designates_the_former_edges(name):
                     continue
                 want = ref_least_cocartesian(p, full_op, vertex, g, cap)
                 c, e = x.simplex_id(0, vertex), y.simplex_id(1, g)
-                f, _ = L._least_lift(L._op_map(p, cap), c, e, cap)
+                f, _ = L._least_lift(p, c, e, cap, True)
                 assert (None if f is None else x.refs(1)[f]) == want, (vertex, g, cap)
                 if inner.certified and x.simplicial:  # a cylinder maps to no semi object
                     assert designated_edge(p, vertex, g, cap, inner) == want, (vertex, g, cap)

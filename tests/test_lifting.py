@@ -10,6 +10,7 @@ from sslift.formats import load_path
 from sslift.lifting import (
     EDGE_01,
     HornProblem,
+    certify_edge_lifts,
     certify_fibration_class,
     certify_inner_fibration,
     count_horn_lifts,
@@ -20,8 +21,10 @@ from sslift.lifting import (
     solve_horn_lift,
 )
 from sslift.sset import (
+    SMap,
     SimplexRef,
     SimplicialError,
+    SimplicialSet,
     constant_map,
     identity_map,
     ref_sort_key,
@@ -241,3 +244,40 @@ def test_certification_builds_a_problem_only_for_the_witness(monkeypatch, cover_
     ok, problem, checked = is_cartesian_edge(terminal_map(standard_simplex(1)), EDGE_01, 3)
     assert not ok and checked > 1
     assert len(built) == 2
+
+
+def comma_projection(k):
+    _, _, to_d = comma_category(identity_functor(chain_poset(k)))
+    return nerve_functor(to_d)[0]
+
+
+def test_certifying_a_comma_projection_builds_no_problem(monkeypatch):
+    q = comma_projection(4)
+    built = count_built_problems(monkeypatch)
+    report = certify_fibration_class(q)
+    assert report.inner.certified and report.cartesian.certified
+    assert report.cocartesian.certified and report.cocartesian.problems_checked > 0
+    assert built == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda: comma_projection(3),
+    lambda: load_path(str(Path(__file__).resolve().parent.parent / "fixtures"
+                          / "collapse_tower.ssx")),
+], ids=["chain3-comma-projection", "collapse_tower"])
+def test_cocartesian_tests_build_no_object(monkeypatch, build):
+    p = build()
+    built = []
+    for cls in (SimplicialSet, SMap):
+        def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+            built.append(_name)
+            _init(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counting)
+    report = certify_fibration_class(p)
+    assert report.cocartesian.certified and report.cocartesian.problems_checked > 0
+    cert = certify_edge_lifts(p, "cocartesian", report.inner)
+    assert cert.to_json() == report.cocartesian.to_json()
+    for e in p.source.refs(1):
+        is_cocartesian_edge(p, e, 3)
+    assert built == []

@@ -21,6 +21,7 @@ from sslift.products import Product
 from sslift.sset import (
     SimplexRef,
     SimplicialSet,
+    op_ref,
     opposite,
     opposite_map,
     standard_simplex,
@@ -89,6 +90,20 @@ def assert_faces_decode(x):
             for e, group in L._last_edge_index(x, n).items():
                 assert all(ref_act(x, refs[r], (n - 1, n)) == edges[e] for r in group)
             assert sum(map(len, L._last_edge_index(x, n).values())) == len(refs)
+            # the first edge, each group in the opposite's candidate order
+            order = {r: k for k, r in enumerate(L._op_order(x, n))}
+            for e, group in L._first_edge_index(x, n).items():
+                assert all(ref_act(x, refs[r], (0, 1)) == edges[e] for r in group)
+                assert group == sorted(group, key=order.__getitem__)
+            assert sum(map(len, L._first_edge_index(x, n).values())) == len(refs)
+
+
+def assert_op_order(x):
+    """_op_order lists x's ids in the order of the opposite's refs."""
+    op = opposite(x)
+    for n in range(6):
+        refs = x.refs(n)
+        assert [op_ref(refs[r]) for r in L._op_order(x, n)] == op.refs(n), n
 
 
 @pytest.mark.parametrize("name", sorted(OBJECTS))
@@ -96,6 +111,7 @@ def test_object_tables_match_refs_and_faces(name):
     x = OBJECTS[name]()
     assert_ids_are_positions(x)
     assert_faces_decode(x)
+    assert_op_order(x)
 
 
 @pytest.mark.parametrize("op", [False, True], ids=["map", "opposite"])
@@ -107,6 +123,7 @@ def test_map_tables_match_apply(name, op):
     for x in (p.source, p.target):
         assert_ids_are_positions(x)
         assert_faces_decode(x)
+        assert_op_order(x)
     for n in degrees(p.source):
         targets = p.target.refs(n)
         images = L._images(p, n)

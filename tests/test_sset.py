@@ -3,13 +3,16 @@
 import itertools
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from sslift import words as W
 from sslift.cat import cyclic_group_category, nerve
+from sslift.formats import load_path
 from sslift.products import Product
 from sslift.sset import (
+    SMap,
     SimplexRef,
     SimplicialError,
     SimplicialSet,
@@ -160,6 +163,29 @@ def test_normal_form_words_decrease():
     assert r.degree == 4
     assert all(a > b for a, b in zip(r.word, r.word[1:]))
     assert x.resolve(r) == r
+
+
+def outcome(call):
+    try:
+        return call()
+    except SimplicialError as exc:
+        return type(exc), str(exc)
+
+
+SSX_FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.ssx"))
+
+
+@pytest.mark.parametrize("path", SSX_FIXTURES, ids=lambda path: path.name)
+def test_vertex_of_matches_act(path):
+    loaded = load_path(str(path))
+    for x in (loaded.source, loaded.target) if isinstance(loaded, SMap) else (loaded,):
+        strays = [SimplexRef(0, (), "nowhere"), SimplexRef(2, (), "nowhere"),
+                  SimplexRef(2, (1,), "nowhere"), SimplexRef(2, (5,), x.n_cells(0)[0])]
+        for n in range(5):
+            for r in x.refs(n) + strays:
+                for i in range(-1, r.degree + 2):
+                    assert outcome(lambda: x.vertex_of(r, i)) == outcome(
+                        lambda: x.act(r, (i,))), (r, i)
 
 
 def test_vertex_of_and_last_edge():

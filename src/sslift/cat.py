@@ -614,17 +614,15 @@ class Nerve:
         layers: dict[int, list[tuple[str, list[SimplexRef]]]] = {0: [(o, []) for o in objects]}
         # the refs of the degree below, by chain (by object in degree 0)
         below: dict = {o: SimplexRef(0, (), o) for o in objects}
-        level: list[tuple[str, ...]] = [()]
+        # the non-identity arrows out of each object, listed once
+        out: dict[str, list[str]] = {o: [] for o in objects}
+        for m in category.non_identities():
+            out[category.src(m)].append(m)
         for n in range(1, eff + 1):
-            grown: list[tuple[str, ...]] = []
             if n == 1:
-                grown = [(m,) for m in category.non_identities()]
-            else:
-                for chain in level:
-                    end = category.tgt(chain[-1])
-                    for m in category.arrows_from(end):
-                        if not category.is_identity(m):
-                            grown.append(chain + (m,))
+                grown = [(m,) for o in objects for m in out[o]]
+            else:  # level holds the chains of degree n - 1
+                grown = [chain + (m,) for chain in level for m in out[category.tgt(chain[-1])]]
             grown.sort(key=lambda ch: "|".join(ch))
             layer = []
             refs: dict = {}
@@ -747,7 +745,7 @@ def nat_trans_homotopy(alpha: NatTrans, cap: int | None = None):
     restricting to the two induced maps on the ends.
     """
     from .products import Product
-    from .sset import standard_simplex
+    from .sset import standard_simplex, standard_vertices
 
     alpha.validate()
     f = alpha.source
@@ -759,11 +757,8 @@ def nat_trans_homotopy(alpha: NatTrans, cap: int | None = None):
     prod = Product(src_nerve.sset, standard_simplex(1))
     assignment: dict[int, dict[str, SimplexRef]] = {}
     for (n, cell_id), (lref, rref) in prod.components.items():
-        levels = tuple(
-            int(prod.right_object.vertex_of(rref, i).cell) for i in range(n + 1)
-        )
         assignment.setdefault(n, {})[cell_id] = _homotopy_value(
-            alpha, src_nerve.chain_of(lref), lref.cell, levels
+            alpha, src_nerve.chain_of(lref), lref.cell, standard_vertices(rref)
         )
     h = SMap(prod.sset, tgt_nerve.sset, assignment)
     return h, prod, src_nerve, tgt_nerve

@@ -23,14 +23,14 @@ builds a HornProblem only for the witness it reports.
 Certificates answer three questions up to a degree cap: are all inner
 horns solvable, does every edge of the target admit a cartesian lift
 with prescribed endpoint, and dually for cocartesian lifts.  The
-cocartesian tests run as left horns on the map itself, visiting the
-positions n, n-1, ..., 1 with every candidate list in the opposite's
-candidate order, so they pose the opposite map's right-horn problems in
-the opposite's order without building the opposite.  One least-lift
-search, on ids, picks the least edge over a target edge at a vertex
-that passes the horn test: the (co)cartesian certificates ask it
-whether such an edge exists, and the homotopy lifter takes the
-cocartesian one it finds.
+cocartesian tests run as left horns on the map itself: face j of the
+opposite is face n - j, so a left horn counts its faces from the far end
+(_at) and lists its candidates in the opposite's order (_order), and
+poses the opposite map's right-horn problems without building the
+opposite.  One least-lift search, on ids, picks the least edge over a
+target edge at a vertex that passes the horn test: the (co)cartesian
+certificates ask it whether such an edge exists, and the homotopy lifter
+takes the cocartesian one it finds.
 For nerves of categories the inner range n <= 3 is decisive, so
 nerve-tagged inputs default to cap 3 and are marked conclusive there;
 otherwise a certificate only speaks for the checked range.
@@ -52,6 +52,7 @@ from .sset import (
     op_ref,
     simplex_in_standard,
     standard_simplex,
+    standard_vertices,
 )
 
 
@@ -120,9 +121,10 @@ def op_problem(problem: HornProblem) -> HornProblem:
 # -- lookup tables ------------------------------------------------------------
 #
 # An id is a position in candidate order (SimplicialSet.blocks).  Every
-# table lists ids in that order, or in the opposite's candidate order
-# (_op_order) where a left horn asks, so a lookup yields exactly what a
-# scan of refs(n), or of the opposite's, would keep, in the same order.
+# table lists ids in that order, or in the opposite's (_order) and with
+# face positions counted from the far end (_at) where a left horn asks,
+# so a lookup yields exactly what a scan of refs(n), or of the
+# opposite's, would keep, in the same order.
 # sset.kept builds each table on first use and keeps it on the object or
 # map it describes, keyed by the arguments as passed.
 
@@ -169,6 +171,11 @@ def _face_table(x: SimplicialSet, n: int) -> list[tuple[int, ...]]:
     return rows
 
 
+def _at(j: int, d: int, left: bool) -> int:
+    """Face j of a degree-d simplex, counted from the far end when left."""
+    return d - j if left else j
+
+
 @kept
 def _op_order(x: SimplicialSet, n: int) -> list[int]:
     """x's degree-n ids in the opposite's candidate order: x's blocks by
@@ -178,45 +185,36 @@ def _op_order(x: SimplicialSet, n: int) -> list[int]:
     return [r for w in order for r in range(blocks[w][0], blocks[w][0] + len(blocks[w][1]))]
 
 
+def _order(x: SimplicialSet, n: int, left: bool):
+    """x's degree-n ids in candidate order, or in the opposite's when left."""
+    return _op_order(x, n) if left else range(len(_face_table(x, n)))
+
+
 @kept
 def _face_index(
     x: SimplicialSet, degree: int, positions: tuple[int, ...], left: bool
 ) -> dict[tuple[int, ...], list[int]]:
-    """Degree-n ids of x keyed by their faces at the given positions, in
-    candidate order, or in the opposite's when left."""
+    """Degree-n ids of x keyed by their faces at the given positions, both
+    counted from the far end when left."""
     table = _face_table(x, degree)
+    at = [_at(j, degree, left) for j in positions]
     index: dict[tuple[int, ...], list[int]] = {}
-    for r in _op_order(x, degree) if left else range(len(table)):
+    for r in _order(x, degree, left):
         faces = table[r]
-        index.setdefault(tuple([faces[j] for j in positions]), []).append(r)
+        index.setdefault(tuple([faces[j] for j in at]), []).append(r)
     return index
 
 
 @kept
-def _last_edge_index(x: SimplicialSet, degree: int) -> dict[int, list[int]]:
-    """Degree-n ids of x keyed by their last edge, in candidate order."""
-    # the last edge {n-1, n} is what n-1 times d_0 leaves
-    tables = [_face_table(x, d) for d in range(degree, 1, -1)]
+def _edge_index(x: SimplicialSet, degree: int, left: bool) -> dict[int, list[int]]:
+    """Degree-n ids of x keyed by their last edge {n-1, n}, what n-1 times
+    d_0 leaves; by their first edge, counted from the far end, when left."""
+    tables = [(_face_table(x, d), _at(0, d, left)) for d in range(degree, 1, -1)]
     index: dict[int, list[int]] = {}
-    for r in range(len(_face_table(x, degree))):
+    for r in _order(x, degree, left):
         e = r
-        for faces in tables:
-            e = faces[e][0]
-        index.setdefault(e, []).append(r)
-    return index
-
-
-@kept
-def _first_edge_index(x: SimplicialSet, degree: int) -> dict[int, list[int]]:
-    """Degree-n ids of x keyed by their first edge, in the opposite's
-    candidate order: the last edge of their opposites."""
-    # the first edge {0, 1} is what n-1 times the last face leaves
-    tables = [(_face_table(x, d), d) for d in range(degree, 1, -1)]
-    index: dict[int, list[int]] = {}
-    for r in _op_order(x, degree):
-        e = r
-        for faces, d in tables:
-            e = faces[e][d]
+        for faces, j in tables:
+            e = faces[e][j]
         index.setdefault(e, []).append(r)
     return index
 
@@ -253,24 +251,20 @@ def _plan(p: SMap, n: int, i: int, left: bool):
     """How the (n, i)-horn problems against p are enumerated: faces and
     first candidates, a step per later position, images and bases.
 
-    Positions are visited in ascending order, or n, n-1, ..., 1 with every
-    list in the opposite's candidate order for a left plan (i = 0): the
-    opposite's (n, n)-horn problems in the opposite's order.  A step looks
-    x_b up by its faces at the positions a chosen before it: d_a x_b =
-    d_{b-1} x_a when a < b, d_{a-1} x_b = d_b x_a when a > b.
+    Positions j != i are visited in ascending order, each counted from the
+    far end (_at) and every list in _order when left: a left plan (i = 0)
+    poses the opposite's (n, n)-horn problems in the opposite's order.  A
+    step looks x_b up by its faces at the positions a chosen before it,
+    d_a x_b = d_{b-1} x_a, both sides counted from the far end when left.
     """
     x, faces = p.source, _face_table(p.source, n - 1)
-    positions = list(range(n, 0, -1)) if left else [j for j in range(n + 1) if j != i]
-    steps = []
-    for k, b in enumerate(positions[1:], 1):
-        if left:  # every a chosen before b is above it
-            keys, face = tuple([a - 1 for a in positions[:k]]), b
-        else:  # every a chosen before b is below it
-            keys, face = tuple(positions[:k]), b - 1
-        steps.append((_face_index(x, n - 1, keys, left), face))
-    start = _op_order(x, n - 1) if left else range(len(faces))
+    positions = [j for j in range(n + 1) if j != _at(i, n, left)]
+    steps = [
+        (_face_index(x, n - 1, tuple(positions[:k]), left), _at(b - 1, n - 1, left))
+        for k, b in enumerate(positions[1:], 1)
+    ]
     bases = _face_index(p.target, n, tuple(positions), left)
-    return faces, start, steps, _images(p, n - 1), bases
+    return faces, _order(x, n - 1, left), steps, _images(p, n - 1), bases
 
 
 # -- single problems ----------------------------------------------------------
@@ -484,8 +478,8 @@ def _edge_test(p: SMap, e: int, cap: int, left: bool) -> tuple[tuple | None, int
     (first) edge; matching with x_n gives the other faces the same edge."""
     checked = 0
     for n in range(2, cap + 1):
-        pins = (_first_edge_index if left else _last_edge_index)(p.source, n - 1)
-        n_checked, unsolved = _first_unsolved(p, n, 0 if left else n, left, pins.get(e, []))
+        pins = _edge_index(p.source, n - 1, left).get(e, [])
+        n_checked, unsolved = _first_unsolved(p, n, _at(n, n, left), left, pins)
         checked += n_checked
         if unsolved is not None:
             return unsolved, checked
@@ -498,7 +492,7 @@ def _least_lift(p: SMap, c: int, g: int, cap: int, left: bool) -> tuple[int | No
     up to cap, None if none does, and the number of problems checked."""
     checked = 0
     # the edges over g ending (starting) at c fill the (1, 1)-horn ((1, 0)-horn) c over g
-    for f in _solution_table(p, 1, 0 if left else 1).get((c, g), ()):
+    for f in _solution_table(p, 1, _at(1, 1, left)).get((c, g), ()):
         unsolved, n_checked = _edge_test(p, f, cap, left)
         checked += n_checked
         if unsolved is None:
@@ -564,7 +558,7 @@ def certify_edge_lifts(p: SMap, kind: str, inner: Certificate) -> Certificate:
     checked = 0
     # an edge g's faces are (d_0 g, d_1 g) = (its end, its start)
     for g, ends in enumerate(_face_table(y, 1)):
-        target_vertex = ends[1 if left else 0]
+        target_vertex = ends[_at(0, 1, left)]
         for c, image in enumerate(vertex_images):
             if image != target_vertex:
                 continue
@@ -846,12 +840,8 @@ def last_vertex_contraction(n: int) -> tuple[SMap, Product]:
     prism = cylinder(target)
     assignment: dict[int, dict[str, SimplexRef]] = {}
     for (m, cell_id), (lref, rref) in prism.components.items():
-        vs = []
-        for t in range(m + 1):
-            level = prism.right_object.vertex_of(rref, t).cell
-            if level == "0":
-                vs.append(int(prism.left_object.vertex_of(lref, t).cell))
-            else:
-                vs.append(n)
-        assignment.setdefault(m, {})[cell_id] = simplex_in_standard(n, vs)
+        levels, vs = standard_vertices(rref), standard_vertices(lref)
+        assignment.setdefault(m, {})[cell_id] = simplex_in_standard(
+            n, [v if level == 0 else n for v, level in zip(vs, levels)]
+        )
     return SMap(prism.sset, target, assignment), prism

@@ -191,31 +191,7 @@ class SimplicialSet:
         return self.act(r, W.sigma_values(i, r.degree))
 
     def vertex_of(self, r: SimplexRef, i: int) -> SimplexRef:
-        """Vertex i of r, read off its cell's vertices through the split of
-        its word (as act reads it); what the table does not cover, such as
-        a foreign ref or a bad index, goes through act."""
-        try:
-            (k,), _ = W.split(r.word, r.degree, (i,))
-            return SimplexRef(0, (), self._vertices(r.cell_degree)[r.cell][k])
-        except (ValueError, LookupError, TypeError):
-            return self.act(r, (i,))
-
-    @kept
-    def _vertices(self, m: int) -> dict[str, tuple[str, ...]]:
-        """The vertices of every degree-m cell, in order: those of d_m c,
-        then the last of d_0 c."""
-        if m == 0:
-            return {c: (c,) for c in self._order[0]}
-
-        def of(f: SimplexRef) -> list[str]:
-            cells = self._vertices(f.cell_degree)[f.cell]
-            return [cells[k] for k in W.word_to_map(f.word, f.degree)]
-
-        out = {}
-        for c in self.n_cells(m):
-            faces = self._faces[m][c]
-            out[c] = (*of(faces[m]), of(faces[0])[-1])
-        return out
+        return self.act(r, (i,))
 
     def last_edge(self, r: SimplexRef) -> SimplexRef:
         if r.degree < 1:
@@ -400,6 +376,13 @@ def simplex_in_standard(n: int, vertices: Iterable[int]) -> SimplexRef:
         raise SimplicialError(f"not a monotone vertex list into [{n}]: {vs}")
     mono, epi = W.epi_mono_factor(vs)
     return SimplexRef(len(vs) - 1, W.map_to_word(epi), _subset_id(mono))
+
+
+def standard_vertices(r: SimplexRef) -> tuple[int, ...]:
+    """The vertex list of a simplex of a standard simplex, the inverse of
+    simplex_in_standard: its cell id's vertices, read through its word."""
+    cell = [int(v) for v in r.cell.split(".")]
+    return tuple([cell[k] for k in W.word_to_map(r.word, r.degree)])
 
 
 def subcomplex(ambient: SimplicialSet, seeds: Iterable[tuple[int, str]]) -> SimplicialSet:

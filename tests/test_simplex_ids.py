@@ -6,9 +6,11 @@ its image table from the map's values, without `act` or `apply`; here
 every row is decoded back to refs and compared with the memo-free word
 arithmetic `ref_act` of test_lifting_reference (faces and last edges)
 and with `SMap.apply`.  `face` and `act` share the table's rule for
-d_i s_w, so they are no reference.
+d_i s_w, so they are no reference.  The left (far-end) face and edge
+indexes are compared with the right ones of the full `opposite`.
 """
 
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -87,15 +89,15 @@ def assert_faces_decode(x):
             ], r
         if n >= 1:
             edges = x.refs(1)
-            for e, group in L._last_edge_index(x, n).items():
+            for e, group in L._edge_index(x, n, False).items():
                 assert all(ref_act(x, refs[r], (n - 1, n)) == edges[e] for r in group)
-            assert sum(map(len, L._last_edge_index(x, n).values())) == len(refs)
+            assert sum(map(len, L._edge_index(x, n, False).values())) == len(refs)
             # the first edge, each group in the opposite's candidate order
             order = {r: k for k, r in enumerate(L._op_order(x, n))}
-            for e, group in L._first_edge_index(x, n).items():
+            for e, group in L._edge_index(x, n, True).items():
                 assert all(ref_act(x, refs[r], (0, 1)) == edges[e] for r in group)
                 assert group == sorted(group, key=order.__getitem__)
-            assert sum(map(len, L._first_edge_index(x, n).values())) == len(refs)
+            assert sum(map(len, L._edge_index(x, n, True).values())) == len(refs)
 
 
 def assert_op_order(x):
@@ -128,3 +130,35 @@ def test_map_tables_match_apply(name, op):
         targets = p.target.refs(n)
         images = L._images(p, n)
         assert [targets[t] for t in images] == [p.apply(r) for r in p.source.refs(n)]
+
+
+def objects_of(name):
+    """The objects of an .ssx fixture (a map's source and target), or the
+    Z/3 nerve at cap 4."""
+    if name == "Z3-cap4":
+        return [nerve(cyclic_group_category(3), cap=4).sset]
+    loaded = load_path(str(FIXTURES / name))
+    return [loaded] if isinstance(loaded, SimplicialSet) else [loaded.source, loaded.target]
+
+
+def relabelled(index, key_of, ids):
+    """An index with its keys mapped by key_of and its groups by ids."""
+    return {key_of(key): [ids[r] for r in group] for key, group in index.items()}
+
+
+@pytest.mark.parametrize("name", ["Z3-cap4"] + [f.name for f in sorted(FIXTURES.glob("*.ssx"))])
+def test_left_indexes_mirror_the_opposite(name):
+    """A left index, counted from the far end in the opposite's order, is
+    the opposite's right index with x's ids translated through _op_order:
+    key for key, each group in the same order."""
+    for x in objects_of(name):
+        op = opposite(x)
+        to_op = [{r: k for k, r in enumerate(L._op_order(x, d))} for d in range(5)]
+        for d in range(1, 5):
+            faces_of = lambda key: tuple(to_op[d - 1][f] for f in key)
+            for size in range(d + 2):
+                for pos in combinations(range(d + 1), size):
+                    left = relabelled(L._face_index(x, d, pos, True), faces_of, to_op[d])
+                    assert left == L._face_index(op, d, pos, False), (d, pos)
+            left = relabelled(L._edge_index(x, d, True), to_op[1].__getitem__, to_op[d])
+            assert left == L._edge_index(op, d, False), d

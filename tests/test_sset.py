@@ -25,6 +25,7 @@ from sslift.sset import (
     simplex_in_standard,
     skeleton,
     standard_simplex,
+    standard_vertices,
     subcomplex,
 )
 from test_lifting_reference import ref_act
@@ -205,6 +206,16 @@ def test_simplex_in_standard():
     assert r == SimplexRef(1, (), "0.2")
     r = simplex_in_standard(3, [1, 1, 3])
     assert r.cell == "1.3" and r.word == (0,) and r.degree == 2
+
+
+def test_standard_vertices_inverts_simplex_in_standard():
+    for n in range(5):
+        d = standard_simplex(n)
+        for m in range(6):
+            for r in d.refs(m):
+                vs = standard_vertices(r)
+                assert vs == tuple(int(d.vertex_of(r, i).cell) for i in range(m + 1)), r
+                assert simplex_in_standard(n, vs) == r
 
 
 def test_refs_sorted_in_candidate_order():

@@ -112,11 +112,10 @@ class FiniteCategory:
         if set(self.identities) != obj_set:
             raise ValidationError("identities table does not match the object list")
         # the table must cover exactly the composable pairs
-        expected = set()
-        for f, (a, b) in self.morphisms.items():
-            for g, (c, d) in self.morphisms.items():
-                if b == c:
-                    expected.add(compose_key(g, f))
+        leaving: dict[str, list[str]] = {o: [] for o in self.objects}
+        for g, (c, _) in self.morphisms.items():
+            leaving[c].append(g)
+        expected = {compose_key(g, f) for f, (_, b) in self.morphisms.items() for g in leaving[b]}
         if set(self.compose_table) != expected:
             missing = expected - set(self.compose_table)
             extra = set(self.compose_table) - expected
@@ -635,7 +634,8 @@ class Nerve:
                     faces = [below[chain[1:]]]
                     for i in range(1, n):
                         comp = category.compose_pair(chain[i], chain[i - 1])
-                        if category.is_identity(comp):
+                        # acyclic: no composite of non-identity arrows is an identity
+                        if cyclic and category.is_identity(comp):
                             rest = "|".join(chain[: i - 1] + chain[i + 1 :])
                             faces.append(SimplexRef(n - 1, (i - 1,), rest or category.src(chain[0])))
                         else:

@@ -7,10 +7,11 @@ arithmetic is over Python integers, so coefficients never overflow.  Pairs
 of cells joined by a boundary entry 1 or -1 are eliminated first; the
 reduction is kept as data, so cycles move between the original complex
 and the small remainder exactly.  Two Smith forms per degree of the
-remainder, the boundary's and the relations', give homology groups with
-chosen integral generators in the cell basis, so that maps of simplicial
-sets induce explicit matrices.  A Smith form builds each transform only
-when it is read, so wide relations cost no square matrix.
+remainder with a differential left, the boundary's and the relations',
+and none for a free degree, give homology groups with chosen integral
+generators in the cell basis, so that maps of simplicial sets induce
+explicit matrices.  A Smith form builds each transform only when it is
+read, so wide relations cost no square matrix.
 """
 
 from __future__ import annotations
@@ -503,7 +504,7 @@ class HomologyGroup:
     def coordinates(self, cycle: list[int]) -> list[int] | None:
         """Coordinates of a cycle in the kept generator basis, reduced;
         None when the chain is not a cycle."""
-        if self._coordinates is None:  # a degree past its profile: no cells
+        if not self.gens.rows:  # no cells in this degree
             return None if any(cycle) else []
         red = self._reduction
         if any(red.original.boundary(self.degree).mul_vec(cycle)):
@@ -562,15 +563,24 @@ class HomologyProfile:
 
 
 def homology_of_reduction(red: Reduction, top: int | None = None) -> HomologyProfile:
-    """Homology from two Smith forms per degree of the remainder: d_k's
-    v and v_inv give the cycle basis and each cycle's coordinates in it,
-    the relations' diagonal, u and u_inv the orders, generators and their
-    coordinates.  The relations' column transforms, as wide as the next
-    degree's remainder, are never built.  Generators are lifted back."""
+    """Homology from two Smith forms per degree of the remainder with a
+    differential left: d_k's v and v_inv give the cycle basis and each
+    cycle's coordinates in it, the relations' diagonal, u and u_inv the
+    orders, generators and their coordinates.  The relations' column
+    transforms, as wide as the next degree's remainder, are never built.
+    A free degree, with d_k and d_{k+1} both zero, is its own homology:
+    its cells are the generators, free, and no Smith form is needed.
+    Generators are lifted back."""
     cx = red.remainder
     groups = []
     limit = cx.dimension if top is None else top
     for k in range(limit + 1):
+        if not any(cx.boundary(k).entries) and not any(cx.boundary(k + 1).entries):
+            r = cx.rank(k)
+            unit = IntMatrix.identity(r)
+            gens = IntMatrix.from_columns(red.original.rank(k), [red.lift(k, e) for e in unit.data])
+            groups.append(HomologyGroup(k, r, [], gens, [0] * r, unit, red))
+            continue
         cycles = SmithForm(cx.boundary(k).to_dense())
         kern = cycles.kernel()
         rows = cycles.kernel_coordinates()

@@ -12,7 +12,7 @@ jointly, so the result is again presented by nondegenerate cells only.
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import combinations
 
 from . import words as W
@@ -35,20 +35,32 @@ def joint_normal_form(
     nondegenerate pair."""
     if left.degree != right.degree:
         raise SimplicialError("component degrees differ")
-    n = left.degree
-    common = tuple(sorted(set(left.word) & set(right.word), reverse=True))
+    common, left_word, right_word = _joint_words(left.word, right.word, left.degree)
     if not common:
         return (), left, right
+    m = left.degree - len(common)
+    return common, SimplexRef(m, left_word, left.cell), SimplexRef(m, right_word, right.cell)
+
+
+@cache
+def _joint_words(
+    left_word: tuple[int, ...], right_word: tuple[int, ...], n: int
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The common word of two words at degree n, and each word
+    renormalized on the section of the common word."""
+    common = tuple(sorted(set(left_word) & set(right_word), reverse=True))
+    if not common:
+        return (), left_word, right_word
     # the section of s_common taking the least point of each class it collapses
     sec = tuple(v for v in range(n + 1) if v - 1 not in common)
-    m = n - len(common)
-    new_l = SimplexRef(m, W.renormalize(left.word, n, sec), left.cell)
-    new_r = SimplexRef(m, W.renormalize(right.word, n, sec), right.cell)
-    if set(new_l.word) & set(new_r.word):
+    new_l = W.renormalize(left_word, n, sec)
+    new_r = W.renormalize(right_word, n, sec)
+    if set(new_l) & set(new_r):
         raise SimplicialError("joint normalization failed to separate words")
     return common, new_l, new_r
 
 
+@cache
 def _drop(word: tuple[int, ...], collapses: tuple[int, ...]) -> tuple[int, ...]:
     """The word whose surjection, after that of collapses, is the
     surjection of word; collapses are drawn from word."""

@@ -13,10 +13,13 @@ The arithmetic a simplicial set repeats for every simplex depends only
 on words and ordinals, never on the object: the split of a degenerate
 simplex composed with a map, the re-normalized word, and the rule for
 the faces of a degenerate simplex.  Every face and degeneracy of a
-simplicial set is computed from these three, and they are memoized for
-the whole process.
-Their keys range over words and monotone maps of bounded degree, and
-every result is an immutable tuple.
+simplicial set is computed from these three.  They are memoized for the
+whole process, and so are the maps, strings and words they and their
+callers repeat: word_to_map, word_string, parse_word, word_op,
+delta_values and sigma_values.  Their keys range over words, word
+strings and monotone maps of bounded degree, and every result is
+immutable.  A call that raises is not memoized, so bad input raises
+every time.
 """
 
 from __future__ import annotations
@@ -34,6 +37,7 @@ def is_word(word: tuple[int, ...]) -> bool:
     return all(a > b for a, b in zip(word, word[1:]))
 
 
+@cache
 def word_to_map(word: tuple[int, ...], degree: int) -> tuple[int, ...]:
     """Surjection [degree] -> [degree - len(word)] collapsing (i, i+1) for i in word."""
     if word and word[0] >= degree:
@@ -75,8 +79,7 @@ def split(word: tuple[int, ...], degree: int, phi: tuple[int, ...]):
     """Split s o phi into (injection, surjection), where s is the surjection
     of word at degree and phi: [m] -> [degree] is monotone.
 
-    Raises ValueError when phi leaves [degree] or is not monotone.  A
-    call that raises is not memoized, so a bad phi raises every time.
+    Raises ValueError when phi leaves [degree] or is not monotone.
     """
     if phi and (min(phi) < 0 or max(phi) > degree):
         raise ValueError(f"map {phi} does not land in [{degree}]")
@@ -107,6 +110,7 @@ def face_rule(word: tuple[int, ...], n: int, i: int):
     return max(set(range(m + 1)).difference(mono)), epi
 
 
+@cache
 def delta_values(i: int, n: int) -> tuple[int, ...]:
     """Injection [n-1] -> [n] skipping the value i."""
     if not 0 <= i <= n:
@@ -114,6 +118,7 @@ def delta_values(i: int, n: int) -> tuple[int, ...]:
     return tuple(j if j < i else j + 1 for j in range(n))
 
 
+@cache
 def sigma_values(i: int, n: int) -> tuple[int, ...]:
     """Surjection [n+1] -> [n] hitting the value i twice."""
     if not 0 <= i <= n:
@@ -121,11 +126,13 @@ def sigma_values(i: int, n: int) -> tuple[int, ...]:
     return tuple(j if j <= i else j - 1 for j in range(n + 2))
 
 
+@cache
 def word_op(word: tuple[int, ...], degree: int) -> tuple[int, ...]:
     """Word of the opposite of the surjection given by word at the given degree."""
     return tuple(sorted((degree - 1 - i for i in word), reverse=True))
 
 
+@cache
 def word_string(word: tuple[int, ...]) -> str:
     return ",".join(str(i) for i in word)
 
@@ -139,6 +146,7 @@ def canonical_int(text: str) -> int | None:
     return int(text) if _DECIMAL.fullmatch(text) else None
 
 
+@cache
 def parse_word(text: str) -> tuple[int, ...]:
     if text == "":
         return ()

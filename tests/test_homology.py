@@ -30,7 +30,14 @@ from sslift.homology import (
     solve_integer,
 )
 from sslift.products import Product
-from sslift.sset import SimplexRef, boundary, constant_map, standard_simplex, terminal_map
+from sslift.sset import (
+    SimplexRef,
+    SimplicialSet,
+    boundary,
+    constant_map,
+    standard_simplex,
+    terminal_map,
+)
 
 import pytest
 
@@ -213,6 +220,17 @@ def test_induced_map_into_a_truncated_target_names_the_degree():
     assert ind.iso_flags == [True, False]
 
 
+def test_induced_map_into_a_truncated_target_with_no_cells_in_a_degree():
+    # the point capped at 3 has groups in degrees 0-2 and cells only in 0
+    target = SimplicialSet({0: [("p", [])]}, truncated_at=3)
+    source = nerve(cyclic_group_category(2), 3).sset
+    ind = induced_homology(constant_map(source, target, SimplexRef(0, (), "p")))
+    assert [m.shape for m in ind.matrices] == [(1, 1), (0, 1), (0, 0)]
+    assert ind.iso_flags == [True, False, True]
+    assert homology(target).group(1).coordinates([]) == []
+    assert homology(target).group(1).coordinates([1]) is None
+
+
 def test_euler_characteristic():
     assert euler_characteristic(standard_simplex(3)) == 1
     assert euler_characteristic(boundary(3)) == 2
@@ -319,14 +337,15 @@ def test_homology_factors_each_matrix_once(monkeypatch):
 
     monkeypatch.setattr(hmod.SmithForm, "__init__", counted)
     prof = hmod.homology(nerve(cyclic_group_category(4), 4).sset)
-    # the boundary and the relations, in each computed degree
+    # the boundary and the relations in degrees 1-3, which have a
+    # differential left; degree 0 is free and factors nothing
     assert len(prof.groups) == 4
-    assert len(shapes) == 2 * len(prof.groups)
+    assert len(shapes) == 6
     for g in prof.groups:
         for i, col in enumerate(g.gens.columns()):
             unit = [1 if j == i else 0 for j in range(len(g.orders))]
             assert g.coordinates(col) == unit
-    assert len(shapes) == 2 * len(prof.groups)
+    assert len(shapes) == 6
 
 
 def test_homology_module_is_not_shadowed():

@@ -8,12 +8,16 @@ The reduction itself is checked as data: its inclusion and projection
 are chain maps, and projecting a lifted chain gives the chain back.
 Independent oracles close the loop: known groups of group nerves and
 spheres, the Euler characteristic, Kunneth with its Tor term, and the
-homology of the opposite.
+homology of the opposite.  A degree with no differential left, which
+homology reads straight off the reduction, must give what the
+two-Smith-form loop gives on the same reduction, cycle coordinates
+included.
 """
 
 import math
 import random
 
+import pytest
 import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,9 +31,12 @@ from sslift.cat import (
     nerve_functor,
 )
 from sslift.corpus import build_fixtures, circle, random_poset, random_poset_functor
+from sslift.formats import load_path
 from sslift.homology import (
+    HomologyGroup,
     IntMatrix,
     Reduction,
+    SmithForm,
     chain_complex,
     euler_characteristic,
     homology,
@@ -38,8 +45,12 @@ from sslift.homology import (
     kernel_basis,
     reduce_unit_pivots,
 )
-from sslift.products import PairedSSet, Product
+from sslift.products import Fiber, PairedSSet, Product
 from sslift.sset import SMap, SimplexRef, SimplicialSet, boundary, opposite, standard_simplex
+
+from tests import test_coordinates_reference as coords
+from tests.test_sset import SSX_FIXTURES
+from tests.test_transport import comma_projections
 
 SEEDED = settings(max_examples=12, deadline=None, derandomize=True)
 
@@ -286,6 +297,102 @@ def test_chain4_comma_nerve_reduces_to_one_cell():
     prof = homology(x)
     assert list(prof.invariants()) == [(1, ())] + [(0, ())] * x.dimension
     check_groups(prof)
+
+
+# -- free degrees against the two-Smith-form loop ----------------------------------
+
+
+def generic_homology(red, top=None):
+    """homology_of_reduction's two-Smith-form loop, run on every degree
+    alike, free or not: the reference for the free path."""
+    cx = red.remainder
+    groups = []
+    limit = cx.dimension if top is None else top
+    for k in range(limit + 1):
+        cycles = SmithForm(cx.boundary(k).to_dense())
+        kern = cycles.kernel()
+        rows = cycles.kernel_coordinates()
+        rels = [
+            [sum(r[i] * c for i, c in col.items()) for r in rows.data]
+            for col in cx.boundary(k + 1).entries
+        ]
+        relations = SmithForm(IntMatrix.from_columns(kern.cols, rels))
+        orders_full = [abs(x) for x in relations.diagonal]
+        orders_full += [0] * (kern.cols - len(orders_full))
+        gens_full = kern @ relations.u_inv
+        kept = [i for i, order in enumerate(orders_full) if order != 1]
+        kept_cols = [red.lift(k, gens_full.column(i)) for i in kept]
+        kept_orders = [orders_full[i] for i in kept]
+        u = relations.u
+        torsion = sorted(o for o in kept_orders if o)
+        betti = sum(1 for o in kept_orders if o == 0)
+        groups.append(
+            HomologyGroup(
+                k,
+                betti,
+                torsion,
+                IntMatrix.from_columns(red.original.rank(k), kept_cols),
+                kept_orders,
+                _coordinates=IntMatrix(len(kept), u.cols, [u.data[i] for i in kept]) @ rows,
+                _reduction=red,
+            )
+        )
+    return groups
+
+
+def check_free_path(x, rng):
+    """homology(x) against the generic loop on the same reduction, group
+    by group and on random cycles and chains; returns how many degrees
+    had no differential left."""
+    prof = homology(x)
+    red = reduce_unit_pivots(chain_complex(x))
+    ref = generic_homology(red, top_group(x))
+    assert len(prof.groups) == len(ref)
+    free = 0
+    for g, rg in zip(prof.groups, ref):
+        k = g.degree
+        rem = red.remainder
+        free += not any(rem.boundary(k).entries) and not any(rem.boundary(k + 1).entries)
+        assert (g.betti, g.torsion, g.orders) == (rg.betti, rg.torsion, rg.orders), k
+        assert g.gens == rg.gens, k
+        gens = g.gens.columns()
+        above = red.original.boundary(k + 1)
+        for _ in range(4):
+            cycle = above.mul_vec([rng.randint(-2, 2) for _ in range(above.cols)])
+            for gen in gens:
+                c = rng.randint(-5, 5)
+                cycle = [a + c * b for a, b in zip(cycle, gen)]
+            assert g.coordinates(cycle) == rg.coordinates(cycle), k
+            chain = [rng.randint(-1, 1) for _ in cycle]
+            assert g.coordinates(chain) == rg.coordinates(chain), k
+    return free
+
+
+def ssx_fixtures():
+    out = []
+    for path in SSX_FIXTURES:
+        loaded = load_path(str(path))
+        out += [loaded.source, loaded.target] if isinstance(loaded, SMap) else [loaded]
+    return out
+
+
+def comma_fibers():
+    """The vertex and edge fibers of all the transport tests' comma projections."""
+    objects = []
+    for p in comma_projections():
+        for r in p.target.refs(0) + [e for e in p.target.refs(1) if not e.word]:
+            objects.append(Fiber(p, r).sset)
+    return objects
+
+
+@pytest.mark.parametrize(
+    "family", [ssx_fixtures, coords.cyclic_nerves, coords.spheres, coords.poset_nerves, comma_fibers]
+)
+def test_free_degrees_match_the_generic_loop(family):
+    rng = random.Random(32)
+    objects = family()
+    assert objects
+    assert sum(check_free_path(x, rng) for x in objects)
 
 
 # -- independent oracles -----------------------------------------------------------

@@ -176,8 +176,21 @@ def outcome(call):
 SSX_FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.ssx"))
 
 
+def vertex_by_faces(x, r, i):
+    """Vertex i of r by face maps alone: every other vertex is dropped,
+    largest index first, so no step shifts index i."""
+    if not 0 <= i <= r.degree:
+        raise SimplicialError(f"map {(i,)} does not land in [{r.degree}]")
+    for k in range(r.degree, -1, -1):
+        if k != i:
+            r = x.face(r, k)
+    return r
+
+
 @pytest.mark.parametrize("path", SSX_FIXTURES, ids=lambda path: path.name)
 def test_vertex_of_matches_act(path):
+    """vertex_of(r, i), which is act(r, (i,)), against a walk by faces
+    that never calls act, strays and their errors included."""
     loaded = load_path(str(path))
     for x in (loaded.source, loaded.target) if isinstance(loaded, SMap) else (loaded,):
         strays = [SimplexRef(0, (), "nowhere"), SimplexRef(2, (), "nowhere"),
@@ -186,7 +199,17 @@ def test_vertex_of_matches_act(path):
             for r in x.refs(n) + strays:
                 for i in range(-1, r.degree + 2):
                     assert outcome(lambda: x.vertex_of(r, i)) == outcome(
-                        lambda: x.act(r, (i,))), (r, i)
+                        lambda: vertex_by_faces(x, r, i)), (r, i)
+
+
+def test_vertex_of_matches_standard_vertices():
+    for m in range(5):
+        d = standard_simplex(m)
+        for n in range(5):
+            for r in d.refs(n):
+                for i in range(r.degree + 1):
+                    want = SimplexRef(0, (), str(standard_vertices(r)[i]))
+                    assert d.vertex_of(r, i) == want, (r, i)
 
 
 def test_vertex_of_and_last_edge():

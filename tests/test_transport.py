@@ -229,10 +229,11 @@ def test_transport_factors_each_matrix_of_its_legs_once(monkeypatch):
     monkeypatch.setattr(hmod.SmithForm, "__init__", counted)
     res = transport_homology(p, SimplexRef(1, (), "a<x"))
     assert res.is_iso
-    # the edge fiber's homology (two per degree), then one relation
-    # matrix per leg and degree; the division reuses the inverted leg's
-    assert len(factored) == 8
-    assert len(set(factored)) == 4
+    # the edge fiber's homology, free in every degree, factors nothing;
+    # then one relation matrix per leg and degree, and the division
+    # reuses the inverted leg's
+    assert len(factored) == 4
+    assert len(set(factored)) == 2
 
 
 def test_backward_undoes_forward(cover_setup):

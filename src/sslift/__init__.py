@@ -33,7 +33,7 @@ from .cat import (
 from .formats import (
     FormatError,
     canonical_json,
-    content_digest,
+    document_text,
     emit_document,
     load_path,
     parse_document,

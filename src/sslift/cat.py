@@ -136,10 +136,15 @@ class FiniteCategory:
                 raise ValidationError(f"left unit fails on {f!r}")
             if self.compose_pair(f, self.identities[a]) != f:
                 raise ValidationError(f"right unit fails on {f!r}")
+        # the unit laws settle every triple with an identity in it
+        ids = set(self.identities.values())
+        onward = {o: [g for g in self.arrows_from(o) if g not in ids] for o in obj_set}
         for f, (a, b) in self.morphisms.items():
-            for g in self.arrows_from(b):
+            if f in ids:
+                continue
+            for g in onward[b]:
                 gf = self.compose_pair(g, f)
-                for h in self.arrows_from(self.tgt(g)):
+                for h in onward[self.tgt(g)]:
                     if self.compose_pair(h, gf) != self.compose_pair(
                         self.compose_pair(h, g), f
                     ):

@@ -19,7 +19,7 @@ from functools import cache
 
 from . import words as W
 from .cat import FiniteCategory, Functor, nerve
-from .formats import FormatError, canonical_json, emit_document, load_path
+from .formats import FormatError, canonical_json, document_text, load_path
 from .homology import TruncationError, euler_characteristic, homology
 from .lifting import certify_edge_lifts, certify_fibration_class, certify_inner_fibration
 from .products import Fiber
@@ -91,10 +91,13 @@ def _find_ref(x: SimplicialSet, text: str, degree: int | None = None) -> Simplex
     return ref
 
 
-def _emit(args, payload: dict, human: list[str]) -> None:
-    """Set the subcommand's output; main writes it once the exit code is known."""
-    if args.json:
+def _emit(args, payload, human: list[str]) -> None:
+    """Set the subcommand's output; main writes it once the exit code is
+    known.  The payload is a JSON dict, or an object written as its document."""
+    if args.json and isinstance(payload, dict):
         args.output = canonical_json(payload)
+    elif args.json:
+        args.output = document_text(payload)
     else:
         args.output = "".join(f"{line}\n" for line in human)
 
@@ -234,13 +237,11 @@ def _cmd_homology(args) -> int:
 
 def _cmd_nerve(args) -> int:
     c = _load(args.cat, FiniteCategory, "category")
-    nv = nerve(c, args.cap)
-    x = nv.sset
-    payload = emit_document(x)
+    x = nerve(c, args.cap).sset
     lines = [f"cells by degree: {x.counts()}"]
     if x.truncated_at is not None:
         lines.append(f"truncated at degree {x.truncated_at}")
-    _emit(args, payload, lines)
+    _emit(args, x, lines)
     return EXIT_OK
 
 

@@ -30,11 +30,22 @@ from parsed objects is trusted and not validated again.
 Emission is canonical (sorted keys, two-space indent, raw UTF-8, one
 trailing newline) and preserves cell and morphism order, so parse and
 emit are mutually inverse on canonical files, byte for byte.
+emit_document gives a document as a dict and document_text as text.
+An sset document's text is written straight from the cell table, one
+string per distinct face pair, with canonical_json's bytes: degree keys
+in JSON's string order ("10" before "2") and the fields after "cells"
+written by canonical_json itself.
+
+Readers build an entry (a cell, a face, an assigned value, a morphism)
+directly when it passes a plain type check; only an entry that fails it
+goes through the checked parse, which builds the entry's error path and
+raises at its first fault.  So error paths are built only when they are
+raised, and every message and the order faults are found in are those
+of the checked parse alone.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 from json.encoder import encode_basestring
 
@@ -136,10 +147,6 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def content_digest(payload) -> str:
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
-
-
 def _need(doc, key: str, kind, path: str):
     if not isinstance(doc, dict):
         raise FormatError(path, f"expected an object, got {type(doc).__name__}")
@@ -155,6 +162,21 @@ def _checked(obj):
     """The parsed object, once its validate() has passed."""
     obj.validate()
     return obj
+
+
+def _plain_ref(entry, degree: int) -> SimplexRef | None:
+    """What _parse_ref returns for a pair of plain strings that passes
+    its checks; None for any other entry."""
+    if type(entry) is list and len(entry) == 2:
+        text, cell = entry
+        if type(text) is str and type(cell) is str:
+            try:
+                word = W.parse_word(text)
+            except ValueError:
+                return None
+            if not word or word[0] < degree:
+                return SimplexRef(degree, word, cell)
+    return None
 
 
 def _parse_ref(entry, degree: int, path: str) -> SimplexRef:
@@ -199,12 +221,81 @@ def sset_to_json(x: SimplicialSet) -> dict:
             layer.append(entry)
         if layer:
             cells[str(n)] = layer
+    return _sset_doc(x, cells)
+
+
+def _sset_doc(x: SimplicialSet, cells: dict) -> dict:
     doc = {"kind": "sset", "simplicial": x.simplicial, "cells": cells}
     if x.truncated_at is not None:
         doc["truncated_at"] = x.truncated_at
     if x.tags:
         doc["tags"] = sorted(x.tags)
     return doc
+
+
+# Line breaks of the levels of an sset document in canonical_json: the
+# degree keys, the cells, a cell's fields, its face pairs and a pair's
+# two strings.
+_KEY, _CELL, _FIELD, _PAIR, _PART = ("\n" + " " * k for k in (4, 6, 8, 10, 12))
+
+
+def _sset_text(x: SimplicialSet) -> str:
+    """canonical_json(sset_to_json(x)), written from the cell table: one
+    string per distinct face pair, joined into cells, layers and text."""
+    pairs: dict[SimplexRef, str] = {}
+    layers = []
+    for n in sorted(x.degrees(), key=str):  # JSON's key order: "10" before "2"
+        cells = []
+        for cell_id in x.n_cells(n):
+            tail = f'{_FIELD}"id": {encode_basestring(cell_id)}{_CELL}}}'
+            if n == 0:
+                cells.append("{" + tail)
+                continue
+            faces = []
+            for f in x.face_tuple(n, cell_id):
+                text = pairs.get(f)
+                if text is None:
+                    word = encode_basestring(W.word_string(f.word))
+                    text = pairs[f] = f"[{_PART}{word},{_PART}{encode_basestring(f.cell)}{_PAIR}]"
+                faces.append(text)
+            faces_text = f",{_PAIR}".join(faces)
+            cells.append(f'{{{_FIELD}"faces": [{_PAIR}{faces_text}{_FIELD}],{tail}')
+        if cells:
+            layers.append(f'"{n}": [{_CELL}' + f",{_CELL}".join(cells) + f"{_KEY}]")
+    # canonical_json puts "cells" first, so its "{}" is the first in the text
+    text = canonical_json(_sset_doc(x, {}))
+    if not layers:
+        return text
+    return text.replace("{}", f"{{{_KEY}" + f",{_KEY}".join(layers) + "\n  }", 1)
+
+
+def _plain_cell(entry, n: int) -> tuple[str, list[SimplexRef]] | None:
+    """What _cell returns for an entry of plain JSON types that passes its
+    checks; None for any other entry."""
+    if type(entry) is not dict or type(entry.get("id")) is not str:
+        return None
+    if n == 0:
+        return None if entry.get("faces") else (entry["id"], [])
+    raw_faces = entry.get("faces")
+    if type(raw_faces) is not list or len(raw_faces) != n + 1:
+        return None
+    faces = [_plain_ref(f, n - 1) for f in raw_faces]
+    return None if None in faces else (entry["id"], faces)
+
+
+def _cell(entry, n: int, path: str) -> tuple[str, list[SimplexRef]]:
+    """The id and faces of a degree-n cell entry, or the first fault in it."""
+    cell_id = _need(entry, "id", str, path)
+    if n == 0:
+        if "faces" in entry and entry["faces"]:
+            raise FormatError(f"{path}.faces", "vertices take no faces")
+        return cell_id, []
+    raw_faces = _need(entry, "faces", list, path)
+    if len(raw_faces) != n + 1:
+        raise FormatError(f"{path}.faces", f"degree {n} cell wants {n + 1} faces")
+    return cell_id, [
+        _parse_ref(f, n - 1, f"{path}.faces[{i}]") for i, f in enumerate(raw_faces)
+    ]
 
 
 def sset_from_json(doc) -> SimplicialSet:
@@ -228,22 +319,8 @@ def sset_from_json(doc) -> SimplicialSet:
             raise FormatError(path, "expected a list of cells")
         parsed = []
         for pos, entry in enumerate(layer):
-            epath = f"{path}[{pos}]"
-            cell_id = _need(entry, "id", str, epath)
-            faces = []
-            if n > 0:
-                raw_faces = _need(entry, "faces", list, epath)
-                if len(raw_faces) != n + 1:
-                    raise FormatError(
-                        f"{epath}.faces", f"degree {n} cell wants {n + 1} faces"
-                    )
-                faces = [
-                    _parse_ref(f, n - 1, f"{epath}.faces[{i}]")
-                    for i, f in enumerate(raw_faces)
-                ]
-            elif "faces" in entry and entry["faces"]:
-                raise FormatError(f"{epath}.faces", "vertices take no faces")
-            parsed.append((cell_id, faces))
+            cell = _plain_cell(entry, n)
+            parsed.append(cell if cell is not None else _cell(entry, n, f"{path}[{pos}]"))
         cells[n] = parsed
     return _checked(
         SimplicialSet(cells, simplicial=simplicial, truncated_at=truncated, tags=tags)
@@ -290,9 +367,10 @@ def smap_from_json(doc) -> SMap:
         n = _degree(key, path)
         if not isinstance(layer, dict):
             raise FormatError(path, "expected an object of cell assignments")
-        assignment[n] = {
-            c: _parse_ref(entry, n, f"{path}.{c}") for c, entry in layer.items()
-        }
+        refs = assignment[n] = {}
+        for c, entry in layer.items():
+            ref = _plain_ref(entry, n)
+            refs[c] = ref if ref is not None else _parse_ref(entry, n, f"{path}.{c}")
     return _checked(SMap(source, target, assignment))
 
 
@@ -322,6 +400,11 @@ def cat_from_json(doc) -> FiniteCategory:
     raw_mor = _need(doc, "morphisms", list, "$")
     morphisms: dict[str, tuple[str, str]] = {}
     for pos, entry in enumerate(raw_mor):
+        if type(entry) is dict:
+            mid, src, tgt = entry.get("id"), entry.get("src"), entry.get("tgt")
+            if type(mid) is type(src) is type(tgt) is str and mid not in morphisms:
+                morphisms[mid] = (src, tgt)
+                continue
         path = f"$.morphisms[{pos}]"
         mid = _need(entry, "id", str, path)
         src = _need(entry, "src", str, path)
@@ -396,6 +479,14 @@ def emit_document(obj) -> dict:
     raise FormatError("$", f"no document form for {type(obj).__name__}")
 
 
+def document_text(obj) -> str:
+    """canonical_json(emit_document(obj)); a simplicial set's text is
+    written from its cell table without the dict."""
+    if isinstance(obj, SimplicialSet):
+        return _sset_text(obj)
+    return canonical_json(emit_document(obj))
+
+
 def load_path(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
@@ -407,4 +498,4 @@ def load_path(path: str):
 
 def save_path(path: str, obj) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_json(emit_document(obj)))
+        fh.write(document_text(obj))

@@ -196,3 +196,110 @@ def test_nat_trans_homotopy_ends():
             assert h.value(n, cid) == mf.apply(lref)
         if rref.cell == "1" and rref.cell_degree == 0:
             assert h.value(n, cid) == mg.apply(lref)
+
+
+def associativity_reference(c: FiniteCategory) -> str | None:
+    """The message of validate's associativity check over every composable
+    triple, identities included, in validate's order; None when it holds."""
+    for f, (_, b) in c.morphisms.items():
+        for g in c.arrows_from(b):
+            gf = c.compose_pair(g, f)
+            for h in c.arrows_from(c.tgt(g)):
+                if c.compose_pair(h, gf) != c.compose_pair(c.compose_pair(h, g), f):
+                    return f"associativity fails on ({h!r}, {g!r}, {f!r})"
+    return None
+
+
+# quivers with identities: objects and non-identity arrows (id, src, tgt)
+UNITAL_QUIVERS = [
+    (["*"], [("a", "*", "*"), ("b", "*", "*"), ("c", "*", "*")]),
+    (["x", "y"], [("e", "x", "x"), ("f", "x", "y"), ("g", "x", "y"), ("k", "y", "y")]),
+    (["x", "y", "z"],
+     [("u", "y", "z"), ("f", "x", "y"), ("v", "y", "z"), ("e", "y", "y"), ("w", "x", "z")]),
+]
+
+
+def random_unital_category(rng, objects, arrows) -> FiniteCategory:
+    """Identities compose as units; every other composite is drawn from
+    its hom set, so associativity is the only law left to fail."""
+    morphisms = {f"id_{o}": (o, o) for o in objects}
+    morphisms.update({m: (s, t) for m, s, t in arrows})
+    order = list(morphisms)
+    rng.shuffle(order)
+    morphisms = {m: morphisms[m] for m in order}
+    identities = {o: f"id_{o}" for o in objects}
+    compose = {}
+    for f, (a, b) in morphisms.items():
+        for g, (c, d) in morphisms.items():
+            if c != b:
+                continue
+            if f == identities[a]:
+                compose[compose_key(g, f)] = g
+            elif g == identities[b]:
+                compose[compose_key(g, f)] = f
+            else:
+                compose[compose_key(g, f)] = rng.choice(
+                    sorted(m for m, ends in morphisms.items() if ends == (a, d))
+                )
+    return FiniteCategory(objects, morphisms, identities, compose)
+
+
+def validate_message(c: FiniteCategory) -> str | None:
+    try:
+        c.validate()
+    except ValidationError as e:
+        return str(e)
+    return None
+
+
+def test_associativity_faults_keep_their_first_triple_and_message():
+    import random
+
+    rng = random.Random(2018)
+    failing = holding = 0
+    for trial in range(300):
+        objects, arrows = UNITAL_QUIVERS[trial % len(UNITAL_QUIVERS)]
+        c = random_unital_category(rng, objects, arrows)
+        expected = associativity_reference(c)
+        assert validate_message(c) == expected, trial
+        failing += expected is not None
+        holding += expected is None
+    assert failing >= 100 and holding >= 10
+
+
+def run_nerve(tmp_path, capsys, c):
+    from sslift.cli import main
+    from sslift.formats import save_path
+
+    path = str(tmp_path / "c.cat")
+    save_path(path, c)
+    code = main(["nerve", path])
+    return code, capsys.readouterr().err, path
+
+
+def test_an_associativity_fault_exits_3_with_its_message(tmp_path, capsys):
+    # a unital magma on {1, a, b}: (b∘a)∘a = a∘a = b, but b∘(a∘a) = b∘b = a
+    c = FiniteCategory(
+        ["*"],
+        {"1": ("*", "*"), "a": ("*", "*"), "b": ("*", "*")},
+        {"*": "1"},
+        {"1∘1": "1", "1∘a": "a", "1∘b": "b", "a∘1": "a", "b∘1": "b",
+         "a∘a": "b", "a∘b": "a", "b∘a": "a", "b∘b": "a"},
+    )
+    assert associativity_reference(c) == "associativity fails on ('b', 'a', 'a')"
+    code, err, path = run_nerve(tmp_path, capsys, c)
+    assert code == 3
+    assert err == f"error: {path}: associativity fails on ('b', 'a', 'a')\n"
+
+
+def test_a_corrupted_identity_composite_reports_the_unit_law(tmp_path, capsys):
+    c = cyclic_group_category(3)
+    c.compose_table[compose_key("g1", "g0")] = "g2"
+    code, err, path = run_nerve(tmp_path, capsys, c)
+    assert code == 3
+    assert err == f"error: {path}: right unit fails on 'g1'\n"
+    c = cyclic_group_category(3)
+    c.compose_table[compose_key("g0", "g2")] = "g1"
+    code, err, path = run_nerve(tmp_path, capsys, c)
+    assert code == 3
+    assert err == f"error: {path}: left unit fails on 'g2'\n"

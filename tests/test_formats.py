@@ -9,13 +9,13 @@ from sslift.corpus import build_fixtures, double_cover, pseudo_circle
 from sslift.formats import (
     FormatError,
     canonical_json,
-    content_digest,
     emit_document,
     load_path,
     parse_document,
     save_path,
 )
 from sslift.sset import SMap, SimplicialSet, standard_simplex
+from tests.digests import content_digest
 
 
 def round_trip_bytes(obj):

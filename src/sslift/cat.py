@@ -47,6 +47,7 @@ class FiniteCategory:
         self._hom_cache: dict[tuple[str, str], list[str]] = {}
         self._from_cache: dict[str, list[str]] = {}
         self._to_cache: dict[str, list[str]] = {}
+        self._onward: dict[str, list[str]] | None = None
         self._nerves: dict[int | None, Nerve] = {}
 
     def src(self, m: str) -> str:
@@ -90,8 +91,18 @@ class FiniteCategory:
             self._to_cache[b] = hit
         return hit
 
+    def non_identities_from(self, a: str) -> list[str]:
+        """The non-identity arrows out of a, in id order; the table for
+        all objects is built on the first call."""
+        if self._onward is None:
+            self._onward = {o: [] for o in self.objects}
+            for m in sorted(self.morphisms):
+                if not self.is_identity(m):
+                    self._onward[self.src(m)].append(m)
+        return self._onward[a]
+
     def non_identities(self) -> list[str]:
-        return sorted(m for m in self.morphisms if not self.is_identity(m))
+        return sorted(m for o in self.objects for m in self.non_identities_from(o))
 
     def validate(self) -> None:
         """Check the category laws."""
@@ -138,13 +149,12 @@ class FiniteCategory:
                 raise ValidationError(f"right unit fails on {f!r}")
         # the unit laws settle every triple with an identity in it
         ids = set(self.identities.values())
-        onward = {o: [g for g in self.arrows_from(o) if g not in ids] for o in obj_set}
         for f, (a, b) in self.morphisms.items():
             if f in ids:
                 continue
-            for g in onward[b]:
+            for g in self.non_identities_from(b):
                 gf = self.compose_pair(g, f)
-                for h in onward[self.tgt(g)]:
+                for h in self.non_identities_from(self.tgt(g)):
                     if self.compose_pair(h, gf) != self.compose_pair(
                         self.compose_pair(h, g), f
                     ):
@@ -154,9 +164,7 @@ class FiniteCategory:
 
     def chain_bound(self) -> tuple[bool, int | None]:
         """(has_cycle, longest chain of non-identity arrows when acyclic)."""
-        out: dict[str, list[str]] = {o: [] for o in self.objects}
-        for m in self.non_identities():
-            out[self.src(m)].append(self.tgt(m))
+        out = {o: [self.tgt(m) for m in self.non_identities_from(o)] for o in self.objects}
         state: dict[str, int] = {}
         depth: dict[str, int] = {}
         cyclic = False
@@ -618,10 +626,7 @@ class Nerve:
         layers: dict[int, list[tuple[str, list[SimplexRef]]]] = {0: [(o, []) for o in objects]}
         # the refs of the degree below, by chain (by object in degree 0)
         below: dict = {o: SimplexRef(0, (), o) for o in objects}
-        # the non-identity arrows out of each object, listed once
-        out: dict[str, list[str]] = {o: [] for o in objects}
-        for m in category.non_identities():
-            out[category.src(m)].append(m)
+        out = {o: category.non_identities_from(o) for o in objects}
         for n in range(1, eff + 1):
             if n == 1:
                 grown = [(m,) for o in objects for m in out[o]]

@@ -36,12 +36,9 @@ string per distinct face pair, with canonical_json's bytes: degree keys
 in JSON's string order ("10" before "2") and the fields after "cells"
 written by canonical_json itself.
 
-Readers build an entry (a cell, a face, an assigned value, a morphism)
-directly when it passes a plain type check; only an entry that fails it
-goes through the checked parse, which builds the entry's error path and
-raises at its first fault.  So error paths are built only when they are
-raised, and every message and the order faults are found in are those
-of the checked parse alone.
+A reader raises its error path relative to its own entry ("$" standing
+for the entry), and each enclosing loop re-roots it with
+FormatError.within, so a path is built only while an error propagates.
 """
 
 from __future__ import annotations
@@ -59,7 +56,12 @@ class FormatError(Exception):
 
     def __init__(self, path: str, message: str):
         self.path = path
+        self.message = message
         super().__init__(f"{path}: {message}")
+
+    def within(self, prefix: str) -> FormatError:
+        """This error with the "$" its path starts from replaced by prefix."""
+        return FormatError(prefix + self.path[1:], self.message)
 
 
 def canonical_json(payload) -> str:
@@ -147,14 +149,14 @@ def _float_text(x: float) -> str:
     return float.__repr__(x)
 
 
-def _need(doc, key: str, kind, path: str):
+def _need(doc, key: str, kind):
     if not isinstance(doc, dict):
-        raise FormatError(path, f"expected an object, got {type(doc).__name__}")
+        raise FormatError("$", f"expected an object, got {type(doc).__name__}")
     if key not in doc:
-        raise FormatError(path, f"missing field {key!r}")
+        raise FormatError("$", f"missing field {key!r}")
     value = doc[key]
-    if kind is not None and not isinstance(value, kind):
-        raise FormatError(f"{path}.{key}", f"expected {kind.__name__}")
+    if not isinstance(value, kind):
+        raise FormatError(f"$.{key}", f"expected {kind.__name__}")
     return value
 
 
@@ -164,42 +166,27 @@ def _checked(obj):
     return obj
 
 
-def _plain_ref(entry, degree: int) -> SimplexRef | None:
-    """What _parse_ref returns for a pair of plain strings that passes
-    its checks; None for any other entry."""
-    if type(entry) is list and len(entry) == 2:
-        text, cell = entry
-        if type(text) is str and type(cell) is str:
-            try:
-                word = W.parse_word(text)
-            except ValueError:
-                return None
-            if not word or word[0] < degree:
-                return SimplexRef(degree, word, cell)
-    return None
-
-
-def _parse_ref(entry, degree: int, path: str) -> SimplexRef:
+def _parse_ref(entry, degree: int) -> SimplexRef:
     if (
         not isinstance(entry, list)
         or len(entry) != 2
         or not isinstance(entry[0], str)
         or not isinstance(entry[1], str)
     ):
-        raise FormatError(path, "expected a [word, cell] pair of strings")
+        raise FormatError("$", "expected a [word, cell] pair of strings")
     try:
         word = W.parse_word(entry[0])
     except ValueError as e:
-        raise FormatError(path, f"bad degeneracy word: {e}") from None
+        raise FormatError("$", f"bad degeneracy word: {e}") from None
     if word and word[0] > degree - 1:
-        raise FormatError(path, f"word {entry[0]!r} out of range for degree {degree}")
+        raise FormatError("$", f"word {entry[0]!r} out of range for degree {degree}")
     return SimplexRef(degree, word, entry[1])
 
 
-def _degree(key: str, path: str) -> int:
+def _degree(key: str) -> int:
     n = W.canonical_int(key)
     if n is None or n < 0:
-        raise FormatError(path, "degree keys must be canonical decimal strings")
+        raise FormatError("$", "degree keys must be canonical decimal strings")
     return n
 
 
@@ -269,41 +256,31 @@ def _sset_text(x: SimplicialSet) -> str:
     return text.replace("{}", f"{{{_KEY}" + f",{_KEY}".join(layers) + "\n  }", 1)
 
 
-def _plain_cell(entry, n: int) -> tuple[str, list[SimplexRef]] | None:
-    """What _cell returns for an entry of plain JSON types that passes its
-    checks; None for any other entry."""
-    if type(entry) is not dict or type(entry.get("id")) is not str:
-        return None
-    if n == 0:
-        return None if entry.get("faces") else (entry["id"], [])
-    raw_faces = entry.get("faces")
-    if type(raw_faces) is not list or len(raw_faces) != n + 1:
-        return None
-    faces = [_plain_ref(f, n - 1) for f in raw_faces]
-    return None if None in faces else (entry["id"], faces)
-
-
-def _cell(entry, n: int, path: str) -> tuple[str, list[SimplexRef]]:
+def _cell(entry, n: int) -> tuple[str, list[SimplexRef]]:
     """The id and faces of a degree-n cell entry, or the first fault in it."""
-    cell_id = _need(entry, "id", str, path)
+    cell_id = _need(entry, "id", str)
     if n == 0:
         if "faces" in entry and entry["faces"]:
-            raise FormatError(f"{path}.faces", "vertices take no faces")
+            raise FormatError("$.faces", "vertices take no faces")
         return cell_id, []
-    raw_faces = _need(entry, "faces", list, path)
+    raw_faces = _need(entry, "faces", list)
     if len(raw_faces) != n + 1:
-        raise FormatError(f"{path}.faces", f"degree {n} cell wants {n + 1} faces")
-    return cell_id, [
-        _parse_ref(f, n - 1, f"{path}.faces[{i}]") for i, f in enumerate(raw_faces)
-    ]
+        raise FormatError("$.faces", f"degree {n} cell wants {n + 1} faces")
+    faces = []
+    try:
+        for f in raw_faces:
+            faces.append(_parse_ref(f, n - 1))
+    except FormatError as e:
+        raise e.within(f"$.faces[{len(faces)}]") from None
+    return cell_id, faces
 
 
 def sset_from_json(doc) -> SimplicialSet:
-    kind = _need(doc, "kind", str, "$")
+    kind = _need(doc, "kind", str)
     if kind != "sset":
         raise FormatError("$.kind", f"expected 'sset', got {kind!r}")
-    simplicial = _need(doc, "simplicial", bool, "$")
-    raw_cells = _need(doc, "cells", dict, "$")
+    simplicial = _need(doc, "simplicial", bool)
+    raw_cells = _need(doc, "cells", dict)
     truncated = doc.get("truncated_at")
     # bool is a subclass of int, so true and false need their own refusal
     if truncated is not None and (type(truncated) is not int or truncated < 0):
@@ -313,14 +290,18 @@ def sset_from_json(doc) -> SimplicialSet:
         raise FormatError("$.tags", "expected a list of strings")
     cells: dict[int, list[tuple[str, list[SimplexRef]]]] = {}
     for key, layer in raw_cells.items():
-        path = f"$.cells.{key}"
-        n = _degree(key, path)
-        if not isinstance(layer, list):
-            raise FormatError(path, "expected a list of cells")
         parsed = []
-        for pos, entry in enumerate(layer):
-            cell = _plain_cell(entry, n)
-            parsed.append(cell if cell is not None else _cell(entry, n, f"{path}[{pos}]"))
+        try:
+            n = _degree(key)
+            if not isinstance(layer, list):
+                raise FormatError("$", "expected a list of cells")
+            try:
+                for entry in layer:
+                    parsed.append(_cell(entry, n))
+            except FormatError as e:
+                raise e.within(f"$[{len(parsed)}]") from None
+        except FormatError as e:
+            raise e.within(f"$.cells.{key}") from None
         cells[n] = parsed
     return _checked(
         SimplicialSet(cells, simplicial=simplicial, truncated_at=truncated, tags=tags)
@@ -347,30 +328,34 @@ def smap_to_json(f: SMap) -> dict:
 
 def _nested(doc, field: str, parse):
     """Parse the object doc[field], moving error paths from $ to $.field."""
-    sub = _need(doc, field, dict, "$")
+    sub = _need(doc, field, dict)
     try:
         return parse(sub)
     except FormatError as e:
-        raise FormatError(f"$.{field}" + e.path[1:], str(e).split(": ", 1)[1]) from None
+        raise e.within(f"$.{field}") from None
 
 
 def smap_from_json(doc) -> SMap:
-    kind = _need(doc, "kind", str, "$")
+    kind = _need(doc, "kind", str)
     if kind != "smap":
         raise FormatError("$.kind", f"expected 'smap', got {kind!r}")
     source = _nested(doc, "source", sset_from_json)
     target = _nested(doc, "target", sset_from_json)
-    raw = _need(doc, "assignment", dict, "$")
+    raw = _need(doc, "assignment", dict)
     assignment: dict[int, dict[str, SimplexRef]] = {}
     for key, layer in raw.items():
-        path = f"$.assignment.{key}"
-        n = _degree(key, path)
-        if not isinstance(layer, dict):
-            raise FormatError(path, "expected an object of cell assignments")
-        refs = assignment[n] = {}
-        for c, entry in layer.items():
-            ref = _plain_ref(entry, n)
-            refs[c] = ref if ref is not None else _parse_ref(entry, n, f"{path}.{c}")
+        try:
+            n = _degree(key)
+            if not isinstance(layer, dict):
+                raise FormatError("$", "expected an object of cell assignments")
+            refs = assignment[n] = {}
+            try:
+                for c, entry in layer.items():
+                    refs[c] = _parse_ref(entry, n)
+            except FormatError as e:
+                raise e.within(f"$.{c}") from None
+        except FormatError as e:
+            raise e.within(f"$.assignment.{key}") from None
     return _checked(SMap(source, target, assignment))
 
 
@@ -390,30 +375,27 @@ def cat_to_json(c: FiniteCategory) -> dict:
 
 
 def cat_from_json(doc) -> FiniteCategory:
-    kind = _need(doc, "kind", str, "$")
+    kind = _need(doc, "kind", str)
     if kind != "cat":
         raise FormatError("$.kind", f"expected 'cat', got {kind!r}")
-    objects = _need(doc, "objects", list, "$")
+    objects = _need(doc, "objects", list)
     for pos, o in enumerate(objects):
         if not isinstance(o, str):
             raise FormatError(f"$.objects[{pos}]", "object identifiers are strings")
-    raw_mor = _need(doc, "morphisms", list, "$")
+    raw_mor = _need(doc, "morphisms", list)
     morphisms: dict[str, tuple[str, str]] = {}
-    for pos, entry in enumerate(raw_mor):
-        if type(entry) is dict:
-            mid, src, tgt = entry.get("id"), entry.get("src"), entry.get("tgt")
-            if type(mid) is type(src) is type(tgt) is str and mid not in morphisms:
-                morphisms[mid] = (src, tgt)
-                continue
-        path = f"$.morphisms[{pos}]"
-        mid = _need(entry, "id", str, path)
-        src = _need(entry, "src", str, path)
-        tgt = _need(entry, "tgt", str, path)
-        if mid in morphisms:
-            raise FormatError(f"{path}.id", f"duplicate morphism id {mid!r}")
-        morphisms[mid] = (src, tgt)
-    identities = _need(doc, "identities", dict, "$")
-    compose = _need(doc, "compose", dict, "$")
+    try:
+        for pos, entry in enumerate(raw_mor):
+            mid = _need(entry, "id", str)
+            src = _need(entry, "src", str)
+            tgt = _need(entry, "tgt", str)
+            if mid in morphisms:
+                raise FormatError("$.id", f"duplicate morphism id {mid!r}")
+            morphisms[mid] = (src, tgt)
+    except FormatError as e:
+        raise e.within(f"$.morphisms[{pos}]") from None
+    identities = _need(doc, "identities", dict)
+    compose = _need(doc, "compose", dict)
     for table, name in ((identities, "identities"), (compose, "compose")):
         for k, v in table.items():
             if not isinstance(v, str):
@@ -432,13 +414,13 @@ def functor_to_json(f: Functor) -> dict:
 
 
 def functor_from_json(doc) -> Functor:
-    kind = _need(doc, "kind", str, "$")
+    kind = _need(doc, "kind", str)
     if kind != "functor":
         raise FormatError("$.kind", f"expected 'functor', got {kind!r}")
     source = _nested(doc, "source", cat_from_json)
     target = _nested(doc, "target", cat_from_json)
-    objects = _need(doc, "objects", dict, "$")
-    morphisms = _need(doc, "morphisms", dict, "$")
+    objects = _need(doc, "objects", dict)
+    morphisms = _need(doc, "morphisms", dict)
     for name, table in (("objects", objects), ("morphisms", morphisms)):
         for k, v in table.items():
             if not isinstance(v, str):
@@ -465,7 +447,7 @@ _EMITTERS = [
 
 
 def parse_document(doc):
-    kind = _need(doc, "kind", str, "$")
+    kind = _need(doc, "kind", str)
     parser = _PARSERS.get(kind)
     if parser is None:
         raise FormatError("$.kind", f"unknown document kind {kind!r}")

@@ -1,10 +1,10 @@
 """The eager document readers, kept as a reference.
 
-These are the readers `sslift.formats` had before its readers built
-error paths only for entries that fail a plain type check: every entry,
-face and value here is read with its path built up front and checked
-field by field.  Tests compare the two on malformed documents, exception
-type and message, path indexes included.
+These readers build every entry's, face's and value's error path up
+front, where `sslift.formats` raises paths relative to each entry and
+re-roots them only while an error propagates; here each field is
+checked with its full path in hand.  Tests compare the two on malformed
+documents, exception type and message, path indexes included.
 """
 
 from sslift import words as W
@@ -103,7 +103,7 @@ def _nested(doc, field: str, parse):
     try:
         return parse(sub)
     except FormatError as e:
-        raise FormatError(f"$.{field}" + e.path[1:], str(e).split(": ", 1)[1]) from None
+        raise FormatError(f"$.{field}" + e.path[1:], e.message) from None
 
 
 def smap_from_json(doc) -> SMap:

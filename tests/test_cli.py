@@ -304,6 +304,15 @@ def test_a_degree_key_must_be_a_canonical_decimal(capsys, tmp_path, doc, command
     assert f"{path}: degree keys must be canonical decimal strings" in err
 
 
+def test_a_nested_key_with_a_colon_is_named_whole(capsys, tmp_path):
+    doc = json.loads(fx("cover_functor.cat").read_text())
+    doc["source"]["identities"]["a: b"] = 5
+    bad = tmp_path / "bad.cat"
+    bad.write_text(json.dumps(doc))
+    err = assert_one_line_input_error(capsys, ("theorem-b", bad))
+    assert err == f"error: {bad}: $.source.identities.a: b: expected a morphism id string\n"
+
+
 @pytest.mark.parametrize("text", ["1_0", "+1", " 0", "01", "+0", "-0", "0,+0"])
 def test_a_word_index_must_be_a_canonical_decimal(capsys, tmp_path, text):
     # on the command line: "+0" would read as s_0 a

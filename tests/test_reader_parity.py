@@ -1,11 +1,10 @@
 """The document readers against the eager readers they replace.
 
-The readers build an entry directly when it passes a plain type check,
-and send only an entry that fails through the checked parse with its
-error path.  On every document here, good or malformed deep inside (not
-in the first cell, face or value), each must give what the eager reader
-in reader_reference.py gives: the same object, or the same exception
-type and message, path indexes included.
+The readers raise error paths relative to each entry and re-root them
+while the error propagates.  On every document here, good or malformed
+deep inside (not in the first cell, face or value), each must give what
+the eager reader in reader_reference.py gives: the same object, or the
+same exception type and message, path indexes included.
 """
 
 import copy
@@ -114,6 +113,7 @@ def sset_variants(doc: dict, prefix: list) -> list[tuple[str, dict]]:
     variant("layer not a list", lambda s: s["cells"].__setitem__(top, {"id": "x"}))
     variant("key with a leading zero", lambda s: s["cells"].__setitem__("0" + top, s["cells"].pop(top)))
     variant("negative key", lambda s: s["cells"].__setitem__("-1", []))
+    variant("key with ': ' in it", lambda s: s["cells"].__setitem__("a: b", []))
     variant("truncated_at true", lambda s: s.update(truncated_at=True))
     variant("tags not strings", lambda s: s.update(tags=["a", 1]))
     return out
@@ -229,6 +229,8 @@ def cat_variants(doc: dict) -> list[tuple[str, dict]]:
         "identity an int": lambda d: d["identities"].__setitem__(list(d["identities"])[-1], 9),
         "composite an int": lambda d: d["compose"].__setitem__(list(d["compose"])[-1], 9),
         "composite renamed": lambda d: d["compose"].__setitem__(list(d["compose"])[-1], "zz"),
+        "identity key with ': ' in it": lambda d: d["identities"].__setitem__("a: b", 5),
+        "composite key with ': ' in it": lambda d: d["compose"].__setitem__("g: f", 5),
     }
     for label, edit in edits.items():
         d = copy.deepcopy(doc)
@@ -286,3 +288,28 @@ def test_functor_paths_name_nested_morphisms():
         parse_document(json.loads(json.dumps(doc)))
     assert str(e.value) == "$.source.morphisms[2]: missing field 'tgt'"
     assert outcome(reader_reference.parse_document, doc) == (FormatError, str(e.value))
+
+
+
+@pytest.mark.parametrize(
+    "table, key",
+    [("identities", "a: b"), ("compose", "g: f")],
+)
+def test_nested_cat_paths_keep_keys_with_colons(table, key):
+    doc = emit_document(double_cover())
+    doc["source"][table][key] = 5
+    message = f"$.source.{table}.{key}: expected a morphism id string"
+    with pytest.raises(FormatError) as e:
+        parse_document(doc)
+    assert str(e.value) == message
+    assert outcome(reader_reference.parse_document, doc) == (FormatError, message)
+
+
+def test_nested_sset_paths_keep_keys_with_colons():
+    doc = emit_document(two_edge_map())
+    doc["target"]["cells"]["x: y"] = []
+    message = "$.target.cells.x: y: degree keys must be canonical decimal strings"
+    with pytest.raises(FormatError) as e:
+        parse_document(doc)
+    assert str(e.value) == message
+    assert outcome(reader_reference.parse_document, doc) == (FormatError, message)
